@@ -5,6 +5,12 @@ Reproducibility contract: every replicate draws from an RNG stream keyed by
 into a numpy SeedSequence feeding a Philox counter-based generator. Streams
 never depend on worker scheduling, so results are identical for any worker
 count, and reruns are byte-identical.
+
+A replicate runs in two stages: draw the sample and label its truth, then
+evaluate one measure spec on the labelled sample (fit, score, threshold,
+classify, metrics). Neither the truth oracle nor the replicate stream
+depends on a hyperparameter, so ``run_tune`` builds the oracle once and
+draws each replicate's sample once, sharing both across the grid values.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from . import measures as meas
 from . import scenarios as scen
 from .core import Sample2D
-from .evaluation import METRIC_NAMES, aggregate, confusion, metrics
+from .evaluation import METRIC_NAMES, MetricsRow, aggregate, confusion, metrics
 from .hdr import classify, estimate_hdr, measure_average
 
 __all__ = [
@@ -70,8 +76,8 @@ class RunConfig:
     timing: bool = False
 
     def __post_init__(self):
-        for sid in self.scenarios:
-            scen.scenario(sid)  # raises on an unknown id before any work
+        # canonical ids ('s2' and 2 become 'S2'); raises on an unknown id before any work
+        object.__setattr__(self, "scenarios", tuple(scen.scenario(sid).id for sid in self.scenarios))
         for m in self.measures:
             if m not in meas.MEASURE_KINDS:
                 raise ValueError(f"unknown measure {m!r} (choose from {', '.join(meas.MEASURE_KINDS)})")
@@ -121,19 +127,27 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def _draw_labelled(s: scen.Scenario, n: int, measure: str, replicate: int, oracle: scen.TruthOracle, seed: int):
+    """First stage of a replicate: its sample and the sample's true inside-labels."""
+    sample = scen.sample_scenario(s, n, replicate_rng(seed, s.id, n, measure, replicate))
+    return sample, scen.label_truth(oracle, s, sample.points)
+
+
+def _evaluate(s: scen.Scenario, measure: str, sample: Sample2D, truth, alpha: float, k=None, eps=None):
+    """Second stage of a replicate: fit one spec to the labelled sample,
+    threshold and classify its scores, and score the labels against truth."""
+    fitted = meas.fit_measure(measure_spec_for(s, measure, k=k, eps=eps), sample)
+    scores = fitted.score_vector(sample)
+    pred = classify(estimate_hdr(scores, alpha, measure), scores.scores)
+    return fitted, metrics(confusion(pred, truth))
+
+
 def run_replicate(s: scen.Scenario, n: int, measure: str, replicate: int, oracle: scen.TruthOracle,
                   seed: int, alpha: float, k=None, eps=None) -> ResultRecord:
     """One cell of the benchmark: sample, fit, threshold, classify, score."""
-    rng = replicate_rng(seed, s.id, n, measure, replicate)
     t0 = time.perf_counter()
-    sample = scen.sample_scenario(s, n, rng)
-    spec = measure_spec_for(s, measure, k=k, eps=eps)
-    fitted = meas.fit_measure(spec, sample)
-    scores = fitted.score_vector(sample)
-    region = estimate_hdr(scores, alpha, measure)
-    pred = classify(region, scores.scores)
-    truth = scen.label_truth(oracle, s, sample.points)
-    row = metrics(confusion(pred, truth))
+    sample, truth = _draw_labelled(s, n, measure, replicate, oracle, seed)
+    fitted, row = _evaluate(s, measure, sample, truth, alpha, k, eps)
     ms = (time.perf_counter() - t0) * 1e3
     return ResultRecord(
         s.id, n, measure, replicate, row.as_tuple(),
@@ -142,10 +156,29 @@ def run_replicate(s: scen.Scenario, n: int, measure: str, replicate: int, oracle
 
 
 def _run_batch(args):
-    sid, n, measure, rep_lo, rep_hi, f_alpha, ref_size, seed, alpha, k, eps = args
+    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, k, eps = args
     s = scen.scenario(sid)
-    oracle = scen.TruthOracle(sid, alpha, f_alpha, ref_size)
     return [run_replicate(s, n, measure, r, oracle, seed, alpha, k, eps) for r in range(rep_lo, rep_hi)]
+
+
+def _batches(reps: int, workers: int):
+    """Replicate ranges ``[lo, hi)``: about four per worker, at most 50 long."""
+    size = max(1, min(50, reps // max(1, workers * 4) or 1))
+    return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
+def _map(fn, tasks, workers: int):
+    if workers == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _summarize(rows):
+    """Per-metric (mean, sd) over replicate rows; one replicate has no sd."""
+    if len(rows) >= 2:
+        return aggregate(rows)
+    return {name: (v, float("nan")) for name, v in zip(METRIC_NAMES, rows[0].as_tuple())}
 
 
 def _build_oracles(config: RunConfig) -> dict:
@@ -165,47 +198,20 @@ def run_bench(config: RunConfig):
     (scenario, n, measure) to per-metric (mean, sd) pairs.
     """
     oracles = _build_oracles(config)
-    batch = max(1, min(50, config.reps // max(1, config.workers * 4) or 1))
-    tasks = []
-    for sid in config.scenarios:
-        for n in config.ns:
-            for m in config.measures:
-                for lo in range(0, config.reps, batch):
-                    hi = min(lo + batch, config.reps)
-                    tasks.append((sid, n, m, lo, hi, oracles[sid].f_alpha, config.ref_size,
-                                  config.seed, config.alpha, config.k_override, config.eps_override))
-
-    if config.workers == 1:
-        chunks = [_run_batch(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_run_batch, tasks))
-
-    records = [rec for chunk in chunks for rec in chunk]
+    tasks = [(sid, n, m, lo, hi, oracles[sid], config.seed, config.alpha, config.k_override, config.eps_override)
+             for sid in config.scenarios for n in config.ns for m in config.measures
+             for lo, hi in _batches(config.reps, config.workers)]
+    records = [rec for chunk in _map(_run_batch, tasks, config.workers) for rec in chunk]
     sid_order = {sid: i for i, sid in enumerate(config.scenarios)}
     n_order = {n: i for i, n in enumerate(config.ns)}
     m_order = {m: i for i, m in enumerate(config.measures)}
     records.sort(key=lambda r: (sid_order[r.scenario], n_order[r.n], m_order[r.measure], r.replicate))
 
-    summary = {}
-    for sid in config.scenarios:
-        for n in config.ns:
-            for m in config.measures:
-                cell = [r for r in records if r.scenario == sid and r.n == n and r.measure == m]
-                if len(cell) >= 2:
-                    rows = [_metrics_row(r) for r in cell]
-                    summary[(sid, n, m)] = aggregate(rows)
-                else:
-                    summary[(sid, n, m)] = {
-                        name: (cell[0].row[i], float("nan")) for i, name in enumerate(METRIC_NAMES)
-                    }
+    cells = {}
+    for r in records:
+        cells.setdefault((r.scenario, r.n, r.measure), []).append(MetricsRow(*r.row))
+    summary = {key: _summarize(rows) for key, rows in cells.items()}
     return records, summary
-
-
-def _metrics_row(rec: ResultRecord):
-    from .evaluation import MetricsRow
-
-    return MetricsRow(*rec.row)
 
 
 def write_results_csv(path, records, timing: bool = False):
@@ -249,31 +255,49 @@ def _write_text(path, lines):
 # tuning
 
 
+def _tune_batch(args):
+    """Per replicate in ``[lo, hi)``, one metrics row per grid setting, all
+    evaluated on the replicate's single labelled sample."""
+    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, settings = args
+    s = scen.scenario(sid)
+    out = []
+    for r in range(rep_lo, rep_hi):
+        sample, truth = _draw_labelled(s, n, measure, r, oracle, seed)
+        out.append([_evaluate(s, measure, sample, truth, alpha, k, eps)[1] for k, eps in settings])
+    return out
+
+
 def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float = 0.05,
              seed: int = 42, ref_size: int = _DEFAULT_REF_SIZE, workers: int = 1):
     """Mean metrics per hyperparameter grid value (k for the kNN measures,
-    eps for the box measures), sharing replicate streams across values."""
+    eps for the box measures).
+
+    The truth oracle is built once, and each replicate's sample is drawn and
+    truth-labelled once and shared by every grid value; only fit, score,
+    threshold, classify and metrics run per value. Each value's mean equals
+    ``run_bench`` with that value as its override.
+    """
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
     if measure in (meas.M1_KNN_EUCL, meas.M2_KNN_CDF):
         param = "k"
+        settings = [(int(g), None) for g in grid]
     elif measure in (meas.M3_ECDF_RECT, meas.M3_NPCOP_RECT, meas.M3_PCOP_RECT):
         param = "eps"
+        settings = [(None, float(g)) for g in grid]
     else:
         raise ValueError(f"measure {measure} has no tunable hyperparameter")
-    rows = []
-    for g in grid:
-        config = RunConfig(
-            scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
-            ref_size=ref_size, workers=workers,
-            k_override=int(g) if param == "k" else None,
-            eps_override=float(g) if param == "eps" else None,
-        )
-        _, summary = run_bench(config)
-        cell = summary[(sid, n, measure)]
-        rows.append((g, {name: cell[name][0] for name in METRIC_NAMES}))
-    return param, rows
+    config = RunConfig(scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
+                       ref_size=ref_size, workers=workers)
+    sid = config.scenarios[0]  # canonical id
+    oracle = _build_oracles(config)[sid]
+    tasks = [(sid, n, measure, lo, hi, oracle, seed, alpha, settings) for lo, hi in _batches(reps, workers)]
+    per_rep = [rows for chunk in _map(_tune_batch, tasks, workers) for rows in chunk]
+    return param, [
+        (g, {name: mean for name, (mean, _sd) in _summarize([rows[i] for rows in per_rep]).items()})
+        for i, g in enumerate(grid)
+    ]
 
 
 def write_tune_csv(path, sid, n, measure, param, rows, reps):

@@ -283,7 +283,7 @@ def main(argv=None) -> int:
     handlers = {"bench": _cmd_bench, "tune": _cmd_tune, "apply": _cmd_apply, "simulate": _cmd_simulate}
     try:
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, meas.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

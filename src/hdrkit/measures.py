@@ -29,6 +29,7 @@ from .core import Orientation, Sample2D, ScoreVector
 __all__ = [
     "MeasureSpec",
     "FittedMeasure",
+    "FitError",
     "MEASURE_KINDS",
     "M0_KDE",
     "M0_NPCOP",
@@ -73,7 +74,6 @@ SIMPLEX = "simplex"
 
 _EPS_KINDS = (M3_ECDF_RECT, M3_NPCOP_RECT, M3_PCOP_RECT)
 _K_KINDS = (M1_KNN_EUCL, M2_KNN_CDF)
-_COP_KINDS = (M0_NPCOP, M0_PCOP, M3_NPCOP_RECT, M3_PCOP_RECT)
 _MODEL_KINDS = (M0_NPCOP, M0_PCOP, M3_NPCOP_RECT, M3_PCOP_RECT)
 
 _BLOCK_BUDGET = 4_000_000
@@ -105,7 +105,7 @@ class MeasureSpec:
             raise ValueError("eps must be positive")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1")
-        if (self.copula_candidates or self.marginal_families) and self.kind not in _COP_KINDS:
+        if (self.copula_candidates or self.marginal_families) and self.kind not in _MODEL_KINDS:
             raise ValueError(f"{self.kind} takes no copula/marginal settings")
 
 
@@ -423,6 +423,10 @@ def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
     return model, marginals
 
 
+class FitError(RuntimeError):
+    """A measure could not be fitted to the sample it was given."""
+
+
 def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
     """Fit one measure to a sample, filling unset hyperparameters from the
     heuristics. Model-based kinds need n >= 20; k-based kinds need k <= n."""
@@ -476,7 +480,7 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
             hp = {"eps": spec.eps, **_copula_params(model)}
             return FittedMeasure(spec, Orientation.CONCENTRATION, state, hp, model.family)
     except Exception as exc:
-        raise RuntimeError(f"fitting measure {spec.kind} failed: {exc}") from exc
+        raise FitError(f"fitting measure {spec.kind} failed: {exc}") from exc
 
     raise ValueError(f"unknown measure kind {spec.kind!r}")
 

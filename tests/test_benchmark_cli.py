@@ -91,13 +91,31 @@ class TestBenchOutputs:
 
 class TestTune:
     def test_single_value_equals_bench_aggregation(self):
-        cfg = RunConfig(scenarios=("S2",), ns=(60,), measures=("m1",), k_override=7, **FAST)
-        _, summary = run_bench(cfg)
-        param, rows = run_tune("S2", 60, "m1", [7], **FAST)
-        assert param == "k"
-        cell = summary[("S2", 60, "m1")]
-        for name, mean in rows[0][1].items():
-            assert_allclose(mean, cell[name][0], rtol=1e-12)
+        # tune shares one oracle and one sample per replicate across the grid;
+        # every value must still equal run_bench at that override, bit for bit
+        cases = (
+            ("S2", "m1", "k", [1, 4, 7, 12], FAST),
+            ("S17", "m3-ecdf", "eps", [0.001, 0.02, 0.05, 0.3], FAST),
+            ("S2", "m1", "k", [3, 5], dict(FAST, reps=1)),  # one replicate: no sd, means only
+        )
+        for sid, measure, want_param, grid, kw in cases:
+            param, rows = run_tune(sid, 60, measure, grid, **kw)
+            assert param == want_param
+            assert [g for g, _ in rows] == grid
+            for g, means in rows:
+                cfg = RunConfig(scenarios=(sid,), ns=(60,), measures=(measure,), **{f"{param}_override": g}, **kw)
+                _, summary = run_bench(cfg)
+                assert means == {name: mean for name, (mean, _sd) in summary[(sid, 60, measure)].items()}
+
+    def test_scenario_id_any_case(self):
+        kw = dict(FAST, reps=2)
+        assert run_tune("s2", 40, "m1", [3, 4], **kw) == run_tune("S2", 40, "m1", [3, 4], **kw)
+        cfg = RunConfig(scenarios=("s2",), ns=(40,), measures=("m1",), **kw)
+        assert cfg.scenarios == ("S2",)
+        rec_a, sum_a = run_bench(cfg)
+        rec_b, sum_b = run_bench(RunConfig(scenarios=(2,), ns=(40,), measures=("m1",), **kw))
+        assert [(r.scenario, r.row) for r in rec_a] == [(r.scenario, r.row) for r in rec_b]
+        assert list(sum_a) == [("S2", 40, "m1")] and sum_a == sum_b
 
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):
@@ -116,6 +134,15 @@ class TestTune:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["value"] for r in rows] == ["4", "5", "6"]
+
+    def test_cli_worker_count_byte_identical(self, tmp_path):
+        outs = []
+        for workers in (1, 2):
+            outs.append(tmp_path / f"tune-w{workers}.csv")
+            assert main(["tune", "--scenario", "S17", "--n", "60", "--measure", "m3-ecdf",
+                         "--grid", "0.02,0.05,0.1", "--reps", "9", "--ref-size", "100000",
+                         "--workers", str(workers), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestApply:
@@ -192,6 +219,15 @@ class TestApply:
         assert code == 0
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 40
+
+    def test_failed_fit_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n" + "".join(f"{i * 0.1},1.5\n" for i in range(40)))
+        code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m0-npcop",
+                     "--scale", "none", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: fitting measure m0-npcop failed" in err and "zero variance" in err
 
     def test_svg_output(self, tmp_path):
         draws = tmp_path / "d.csv"
