@@ -78,6 +78,9 @@ class RunConfig:
     def __post_init__(self):
         # canonical ids ('s2' and 2 become 'S2'); raises on an unknown id before any work
         object.__setattr__(self, "scenarios", tuple(scen.scenario(sid).id for sid in self.scenarios))
+        for what, values in (("scenario", self.scenarios), ("size", self.ns), ("measure", self.measures)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"repeated {what} in {', '.join(map(str, values))}")
         for m in self.measures:
             if m not in meas.MEASURE_KINDS:
                 raise ValueError(f"unknown measure {m!r} (choose from {', '.join(meas.MEASURE_KINDS)})")

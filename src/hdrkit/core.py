@@ -1,8 +1,9 @@
 """Shared primitives: bivariate samples, ECDFs, nearest neighbors, quantile ranks.
 
 Everything in this module is deterministic and pure. Samples are immutable
-after construction, so fitted objects holding a reference to one can be
-scored from parallel workers without locking.
+after construction (a sample only remembers results derived from its
+points), so fitted objects holding a reference to one can be scored from
+parallel workers without locking.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class Sample2D:
     together downstream.
     """
 
-    __slots__ = ("_pts",)
+    __slots__ = ("_pts", "_derived")
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -53,6 +54,7 @@ class Sample2D:
         pts = pts.copy()
         pts.setflags(write=False)
         self._pts = pts
+        self._derived = {}
 
     @property
     def points(self) -> np.ndarray:
@@ -65,6 +67,13 @@ class Sample2D:
 
     def column(self, j: int) -> np.ndarray:
         return self._pts[:, j]
+
+    def derived(self, key, compute):
+        """``compute()``, evaluated once per ``key`` for this sample; for
+        results that are a pure function of the points, such as a model fit."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     def __len__(self) -> int:
         return self.n
@@ -132,18 +141,19 @@ def rect_count(sample: Sample2D, lo, hi) -> int:
 
 
 def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest distances, ties broken by ascending index."""
-    n = dist.size
-    if k == n:
-        cand = np.arange(n)
-    else:
-        part = np.argpartition(dist, k - 1)[:k]
-        v = dist[part].max()
-        # pull in every index tied with the boundary value so the index
-        # tie-break is applied over the full tie group
-        cand = np.flatnonzero(dist <= v)
-    order = np.lexsort((cand, dist[cand]))
-    return cand[order[:k]]
+    """Column indices of the k smallest entries in each row of ``dist``,
+    ordered by (value, column index): the first k columns of a stable
+    argsort, found by partial selection."""
+    part = np.argpartition(dist, k - 1, axis=1)
+    bound = np.take_along_axis(dist, part[:, k - 1 : k], axis=1)  # each row's k-th smallest value
+    # widen to every index tied with a row's boundary value so the index
+    # tie-break is applied over the full tie group
+    m = int(np.count_nonzero(dist <= bound, axis=1).max())
+    if m > k:
+        part = np.argpartition(dist, m - 1, axis=1)
+    cand = np.sort(part[:, :m], axis=1)
+    order = np.argsort(np.take_along_axis(dist, cand, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cand, order[:, :k], axis=1)
 
 
 def knn_indices(sample: Sample2D, query, k: int) -> np.ndarray:
@@ -159,7 +169,7 @@ def knn_indices(sample: Sample2D, query, k: int) -> np.ndarray:
         raise ValueError("query must be finite")
     d = sample.points - q
     dist = np.hypot(d[:, 0], d[:, 1])
-    return _k_smallest(dist, k)
+    return _k_smallest(dist[None, :], k)[0]
 
 
 def threshold_index(n: int, alpha: float, orientation: Orientation) -> int:

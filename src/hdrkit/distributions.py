@@ -6,12 +6,15 @@ shared variance, and the Beta(1, a+1) law that arises as the marginal of a
 Dirichlet(1, 1, a) vector (CDF ``1 - (1-x)^(a+1)`` on [0, 1]).
 
 Special functions (normal/t pdf, cdf, quantile) are delegated to scipy;
-the bivariate normal and Student-t CDFs are evaluated with fixed-order
-Gauss-Legendre reductions that are deterministic and vectorized.
+the bivariate normal CDF (and the Student-t CDF at non-integer degrees of
+freedom) is evaluated with a fixed-order Gauss-Legendre reduction, the
+Student-t CDF at integer degrees of freedom with its finite closed-form
+series; both are deterministic and vectorized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,6 +284,9 @@ def _fit_mixture(x: np.ndarray) -> FitReport:
 
 _BVN_X, _BVN_W = np.polynomial.legendre.leggauss(96)
 _BVT_X, _BVT_W = np.polynomial.legendre.leggauss(128)
+# limits past this count as infinite in the series, whose arctan terms lose
+# their branch further out; the t tail mass beyond it is below 1e-14 for nu >= 1
+_BVT_BIG = 1e14
 
 
 def bvn_cdf(rho: float, x, y):
@@ -314,11 +320,22 @@ def bvn_cdf(rho: float, x, y):
 
 
 def bvt_cdf(rho: float, nu: float, x, y):
-    """Bivariate Student-t CDF with correlation rho and nu degrees of freedom.
+    """Bivariate Student-t CDF ``P(X <= x, Y <= y)`` with correlation rho and
+    nu degrees of freedom.
 
-    Conditional single-integral reduction: integrate the conditional t CDF
-    (nu+1 degrees of freedom) over the t-probability transform of x, with a
-    128-node Gauss-Legendre rule. Absolute error is ~1e-8 for nu >= 1.
+    Integer nu (every nu the package fits or simulates) uses the finite
+    series of Dunnett & Sobel (Biometrika 41, 1954) in the form of Genz's
+    ``bvtl`` (Stat. Comput. 14, 2004): floor(nu/2) terms, within 3e-15 of an
+    adaptive 1-D quadrature for nu in {1, 2, 3, 4, 6, 7, 30}. Infinite
+    limits are exact: ``x = +inf`` gives ``T_nu(y)``, ``y = +inf`` gives
+    ``T_nu(x)``, and either limit at ``-inf`` gives 0; a limit beyond
+    ``+-1e14`` counts as infinite (the t tail mass past it is below 1e-14).
+
+    Other nu integrate the conditional t CDF (nu+1 degrees of freedom) over
+    the t-probability transform of x with a 128-node Gauss-Legendre rule.
+    Its absolute error is about 1e-8 near the centre but reaches 3e-5 in
+    the tails: -1.7e-5 at nu=2.5, rho=-0.9, (20, 30), and -1.2e-5 at nu=2,
+    rho=0.72, (1.7236, -100.29) when it still served integer nu.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("|rho| must be < 1")
@@ -327,6 +344,78 @@ def bvt_cdf(rho: float, nu: float, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
+    if float(nu).is_integer():
+        big_x = np.abs(x) > _BVT_BIG
+        big_y = np.abs(y) > _BVT_BIG
+        out = _bvt_series(rho, int(nu), np.where(big_x, 0.0, x), np.where(big_y, 0.0, y))
+        if big_x.any() or big_y.any():
+            out = np.where(big_x & (x > 0), stats.t.cdf(y, nu), out)
+            out = np.where(big_y & (y > 0), stats.t.cdf(x, nu), out)
+            out = np.where((big_x & (x < 0)) | (big_y & (y < 0)), 0.0, out)
+    else:
+        out = _bvt_quadrature(rho, nu, x, y)
+    out = np.clip(out, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def _bvt_series(rho: float, nu: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dunnett-Sobel series for integer nu >= 1 and finite x, y (Genz's bvtl).
+
+    ``1 - xn`` is carried as its own ratio ``cn`` rather than subtracted, so
+    the series keeps its accuracy when one limit is far out in the tail.
+    """
+    ors = 1.0 - rho * rho
+    hrk = x - rho * y
+    krh = y - rho * x
+    ah = ors * (nu + y * y)
+    ak = ors * (nu + x * x)
+    xnhk, cnhk = hrk * hrk / (hrk * hrk + ah), ah / (hrk * hrk + ah)
+    xnkh, cnkh = krh * krh / (krh * krh + ak), ak / (krh * krh + ak)
+    hs = np.where(hrk < 0.0, -1.0, 1.0)
+    ks = np.where(krh < 0.0, -1.0, 1.0)
+    rx = 1.0 / (1.0 + x * x / nu)
+    ry = 1.0 / (1.0 + y * y / nu)
+    if nu % 2 == 0:
+        bvt = np.arctan2(np.sqrt(ors), -rho) / (2.0 * np.pi)
+        gmph = x / np.sqrt(16.0 * (nu + x * x))
+        gmpk = y / np.sqrt(16.0 * (nu + y * y))
+        btnckh = 2.0 * np.arctan2(np.sqrt(xnkh), np.sqrt(cnkh)) / np.pi
+        btpdkh = 2.0 * np.sqrt(xnkh * cnkh) / np.pi
+        btnchk = 2.0 * np.arctan2(np.sqrt(xnhk), np.sqrt(cnhk)) / np.pi
+        btpdhk = 2.0 * np.sqrt(xnhk * cnhk) / np.pi
+        for j in range(1, nu // 2 + 1):
+            bvt = bvt + gmph * (1.0 + ks * btnckh) + gmpk * (1.0 + hs * btnchk)
+            btnckh = btnckh + btpdkh
+            btpdkh = btpdkh * cnkh * (2 * j) / (2 * j + 1)
+            btnchk = btnchk + btpdhk
+            btpdhk = btpdhk * cnhk * (2 * j) / (2 * j + 1)
+            gmph = gmph * rx * (2 * j - 1) / (2 * j)
+            gmpk = gmpk * ry * (2 * j - 1) / (2 * j)
+        return bvt
+    snu = math.sqrt(nu)
+    qhrk = np.sqrt(x * x + y * y - 2.0 * rho * x * y + nu * ors)
+    hkrn = x * y + rho * nu
+    hkn = x * y - nu
+    hpk = x + y
+    bvt = np.arctan2(-snu * (hkn * qhrk + hpk * hkrn), hkn * hkrn - nu * hpk * qhrk) / (2.0 * np.pi)
+    bvt = np.where(bvt < -1e-15, bvt + 1.0, bvt)
+    gmph = x * rx / (2.0 * np.pi * snu)
+    gmpk = y * ry / (2.0 * np.pi * snu)
+    btnckh = btpdkh = np.sqrt(xnkh)
+    btnchk = btpdhk = np.sqrt(xnhk)
+    for j in range(1, (nu - 1) // 2 + 1):
+        bvt = bvt + gmph * (1.0 + ks * btnckh) + gmpk * (1.0 + hs * btnchk)
+        btpdkh = btpdkh * cnkh * (2 * j - 1) / (2 * j)
+        btnckh = btnckh + btpdkh
+        btpdhk = btpdhk * cnhk * (2 * j - 1) / (2 * j)
+        btnchk = btnchk + btpdhk
+        gmph = gmph * rx * (2 * j) / (2 * j + 1)
+        gmpk = gmpk * ry * (2 * j) / (2 * j + 1)
+    return bvt
+
+
+def _bvt_quadrature(rho: float, nu: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Conditional single-integral reduction with 128 Gauss-Legendre nodes."""
     fx = stats.t.cdf(x, nu)
     u = 0.5 * fx[..., None] * (_BVT_X + 1.0)
     w = 0.5 * fx[..., None] * _BVT_W
@@ -337,6 +426,4 @@ def bvt_cdf(rho: float, nu: float, x, y):
     # s -> -inf limit of the conditional argument (finite y): sign(rho)*sqrt((nu+1)/(1-rho^2))
     limit = np.sign(rho) * np.sqrt((nu + 1.0) / (1.0 - rho * rho)) if rho != 0.0 else 0.0
     arg = np.where(np.isnan(arg), np.where(np.isinf(yy), yy, limit), arg)
-    out = np.sum(w * stats.t.cdf(arg, nu + 1.0), axis=-1)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return np.sum(w * stats.t.cdf(arg, nu + 1.0), axis=-1)

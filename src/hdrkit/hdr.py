@@ -27,9 +27,6 @@ class HdrRegion:
     alpha: float
     measure_id: str = ""
 
-    def contains(self, scores) -> np.ndarray:
-        return classify(self, scores)
-
 
 def estimate_hdr(scores: ScoreVector, alpha: float, measure_id: str = "") -> HdrRegion:
     """Threshold the score sample at its order statistic.

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import copulas, distributions as dists
-from .core import Orientation, Sample2D, ScoreVector
+from .core import Orientation, Sample2D, ScoreVector, _k_smallest
 
 __all__ = [
     "MeasureSpec",
@@ -44,7 +44,6 @@ __all__ = [
     "heuristic_k",
     "heuristic_eps",
     "fit_measure",
-    "score_sample",
     "m0_pcop_from_models",
     "m3_pcop_from_models",
 ]
@@ -158,10 +157,6 @@ class FittedMeasure:
         return ScoreVector(self.score(sample.points), self.orientation)
 
 
-def score_sample(fitted: FittedMeasure, sample: Sample2D) -> ScoreVector:
-    return fitted.score_vector(sample)
-
-
 # ---------------------------------------------------------------------------
 # fitted states
 
@@ -238,8 +233,8 @@ class _KnnCdfState:
             dx = q[sl, 0:1] - self.pts[:, 0]
             dy = q[sl, 1:2] - self.pts[:, 1]
             d = np.sqrt(dx * dx + dy * dy)
-            # stable argsort: exact ties resolve to the lower sample index
-            idx = np.argsort(d, axis=1, kind="stable")[:, 1:k]
+            # exact ties resolve to the lower sample index
+            idx = _k_smallest(d, k)[:, 1:]
             rows = np.arange(idx.shape[0])[:, None]
             dist = d[rows, idx]
             du = fq[sl][:, None, 0] - self.f_pts[idx, 0]
@@ -306,13 +301,6 @@ class _EcdfTransform:
             np.searchsorted(self.sorted_cols[1], q[:, 1], side="right"),
         ]) / (n + 1.0)
         return np.clip(out, 1.0 / (n + 1.0), n / (n + 1.0))
-
-    def u_at(self, vals: np.ndarray, axis: int, clamp: bool) -> np.ndarray:
-        n = self.n
-        out = np.searchsorted(self.sorted_cols[axis], vals, side="right") / (n + 1.0)
-        if clamp:
-            out = np.clip(out, 1.0 / (n + 1.0), n / (n + 1.0))
-        return out
 
 
 class _NpCopDensityState:
@@ -388,7 +376,7 @@ class _PCopRectState:
 
 def _fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
     if spec.kind in _K_KINDS and spec.k is None:
-        k = heuristic_k(n) if spec.kind == M1_KNN_EUCL else 30
+        k = heuristic_k(n) if spec.kind == M1_KNN_EUCL else min(30, n)
         spec = replace(spec, k=k)
     if spec.kind in _EPS_KINDS and spec.eps is None:
         spec = replace(spec, eps=heuristic_eps(spec.kind, n, spec.support_class))
@@ -410,17 +398,22 @@ def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
     families = spec.marginal_families
     if families is None:
         raise ValueError(f"{spec.kind} requires marginal_families")
-    fits = [dists.fit_marginal_mle(sample.column(j), families[j]) for j in range(2)]
-    marginals = (fits[0].model, fits[1].model)
-    u = np.column_stack([
-        dists.marginal_cdf(marginals[0], sample.column(0)),
-        dists.marginal_cdf(marginals[1], sample.column(1)),
-    ])
-    u = np.clip(u, _CDF_CLIP, 1.0 - _CDF_CLIP)
-    pseudo = copulas.PseudoObservations(u, "parametric_cdf")
-    candidates = spec.copula_candidates or copulas.DEFAULT_CANDIDATES
-    model, _table = copulas.select_copula_aic(pseudo, candidates)
-    return model, marginals
+    candidates = tuple(spec.copula_candidates or copulas.DEFAULT_CANDIDATES)
+
+    def fit():
+        fits = [dists.fit_marginal_mle(sample.column(j), families[j]) for j in range(2)]
+        marginals = (fits[0].model, fits[1].model)
+        u = np.column_stack([
+            dists.marginal_cdf(marginals[0], sample.column(0)),
+            dists.marginal_cdf(marginals[1], sample.column(1)),
+        ])
+        u = np.clip(u, _CDF_CLIP, 1.0 - _CDF_CLIP)
+        pseudo = copulas.PseudoObservations(u, "parametric_cdf")
+        model, _table = copulas.select_copula_aic(pseudo, candidates)
+        return model, marginals
+
+    # m0-pcop and m3-pcop fitted to one sample share this fit
+    return sample.derived(("parametric", tuple(families), candidates), fit)
 
 
 class FitError(RuntimeError):

@@ -88,6 +88,15 @@ class TestBenchOutputs:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--scenarios", "S2,s2"), ("--n", "40,40"), ("--measures", "m1,m3-ecdf,m1")])
+    def test_repeated_config_value_usage_error(self, tmp_path, capsys, flag, value):
+        args = {"--scenarios": "S2", "--n": "40", "--measures": "m1", flag: value}
+        code = main(["bench", *[t for kv in args.items() for t in kv], "--reps", "3", "--ref-size", "100000",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: repeated" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestTune:
     def test_single_value_equals_bench_aggregation(self):
@@ -228,6 +237,21 @@ class TestApply:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: fitting measure m0-npcop failed" in err and "zero variance" in err
+
+    def test_all_measures_below_default_m2_k(self, tmp_path):
+        # 25 points: m2's default k of 30 clamps to the sample size
+        rng = np.random.default_rng(8)
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in rng.normal(size=(25, 2)).tolist()))
+        out = tmp_path / "o.csv"
+        assert main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "all",
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 25
+        assert {r["m2"] for r in rows} <= {"0", "1"} and "1" in {r["m2"] for r in rows}
+        assert main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m2", "--k", "30",
+                     "--out", str(out)]) == 2
 
     def test_svg_output(self, tmp_path):
         draws = tmp_path / "d.csv"

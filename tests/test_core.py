@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hdrkit.core import Orientation, Sample2D, ScoreVector, ecdf1, knn_indices, rect_count, threshold_index
+from hdrkit.core import (
+    Orientation,
+    Sample2D,
+    ScoreVector,
+    _k_smallest,
+    ecdf1,
+    knn_indices,
+    rect_count,
+    threshold_index,
+)
 
 
 class TestSample2D:
@@ -103,6 +112,46 @@ class TestKnnIndices:
             assert len(set(idx.tolist())) == k
             d = np.linalg.norm(s.points[idx] - q, axis=1)
             assert np.all(np.diff(d) >= 0)
+
+    def test_matches_stable_argsort(self):
+        rng = np.random.default_rng(4)
+        pts = np.round(rng.normal(size=(200, 2)), 1)  # many exact distance ties
+        s = Sample2D(pts)
+        for q in pts[:40]:
+            dist = np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])
+            for k in (1, 3, 30, 200):
+                assert np.array_equal(knn_indices(s, q, k), np.argsort(dist, kind="stable")[:k])
+
+
+def _distance_rows(pts, queries):
+    dx = queries[:, 0:1] - pts[:, 0]
+    dy = queries[:, 1:2] - pts[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
+class TestKSmallestRows:
+    """The row-wise selection kernel against the first k columns of a full stable argsort."""
+
+    @pytest.mark.parametrize("data", ["random", "rounded", "duplicated"])
+    def test_equals_stable_argsort_prefix(self, data):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(300, 2))
+        if data == "rounded":
+            pts = np.round(pts, 1)
+        elif data == "duplicated":
+            pts = np.repeat(pts[:60], 5, axis=0)[rng.permutation(300)]
+        d = _distance_rows(pts, pts[:120])
+        full = np.argsort(d, axis=1, kind="stable")
+        for k in (1, 2, 7, 30, 299, 300):
+            assert np.array_equal(_k_smallest(d, k), full[:, :k]), k
+
+    def test_wide_tie_group(self):
+        # every row's boundary value is shared by many columns
+        d = np.tile(np.array([3.0, 1.0, 2.0, 1.0, 2.0, 2.0, 2.0, 0.5, 2.0]), (4, 1))
+        d[1] = d[1][::-1]
+        full = np.argsort(d, axis=1, kind="stable")
+        for k in range(1, d.shape[1] + 1):
+            assert np.array_equal(_k_smallest(d, k), full[:, :k])
 
 
 class TestThresholdIndex:

@@ -193,3 +193,64 @@ class TestBvtCdf:
         for x, y in [(0.7, -0.3), (-1.2, 0.5), (1.5, 1.5)]:
             ref, _ = integrate.dblquad(lambda t, s: mvt.pdf([s, t]), -40, x, -40, y, epsabs=1e-9)
             assert_allclose(D.bvt_cdf(rho, nu, x, y), ref, atol=1e-6)
+
+
+def _bvt_reference(rho, nu, x, y):
+    """Adaptive 1-D quadrature of ``P(X <= x, Y <= y)``: the t density of X
+    times the conditional t CDF (nu+1 degrees of freedom) of Y, split at the
+    conditional mean's crossing of y so no bump is missed."""
+    from scipy import stats
+
+    c = math.sqrt((nu + 1.0) / (1.0 - rho * rho))
+
+    def f(s):
+        return stats.t.pdf(s, nu) * stats.t.cdf((y - rho * s) * c / math.sqrt(nu + s * s), nu + 1.0)
+
+    breaks = sorted({b for b in (-1.0, 0.0, 1.0, y / rho) if b < x})
+    edges = [-np.inf, *breaks, x]
+    return sum(integrate.quad(f, a, b, epsabs=1e-15, epsrel=1e-13, limit=500)[0] for a, b in zip(edges[:-1], edges[1:]))
+
+
+class TestBvtClosedForm:
+    POINTS = [(0.7, -0.3), (-1.2, 0.5), (1.5, 1.5), (-3.1, -2.4), (1.7236, -100.29), (-100.29, 1.7236)]
+
+    @pytest.mark.parametrize("nu", [1, 2, 3, 6, 7, 30])
+    @pytest.mark.parametrize("rho", [-0.9, -0.5, 0.72])
+    def test_against_adaptive_reference(self, nu, rho):
+        x, y = np.array(self.POINTS).T
+        got = D.bvt_cdf(rho, float(nu), x, y)
+        ref = [_bvt_reference(rho, nu, a, b) for a, b in self.POINTS]
+        assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_tail_point_the_quadrature_missed(self):
+        # the Gauss-Legendre rule was off by -1.23e-5 here
+        assert_allclose(D.bvt_cdf(0.72, 2.0, 1.7236, -100.29), _bvt_reference(0.72, 2, 1.7236, -100.29),
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 5.0, 6.0])
+    def test_infinite_limits_exact(self, nu):
+        from scipy import stats
+
+        t = np.array([-2.5, -0.3, 0.0, 1.3, 40.0])
+        inf = np.full_like(t, np.inf)
+        assert np.array_equal(D.bvt_cdf(0.6, nu, inf, t), stats.t.cdf(t, nu))
+        assert np.array_equal(D.bvt_cdf(-0.6, nu, t, inf), stats.t.cdf(t, nu))
+        assert np.all(D.bvt_cdf(0.6, nu, -inf, t) == 0.0)
+        assert np.all(D.bvt_cdf(0.6, nu, t, -inf) == 0.0)
+        assert D.bvt_cdf(0.6, nu, np.inf, np.inf) == 1.0
+        assert D.bvt_cdf(0.6, nu, np.inf, -np.inf) == 0.0
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 30.0])
+    def test_far_limits_within_frechet_bounds(self, nu):
+        from scipy import stats
+
+        for rho in (-0.9, 0.3, 0.95):
+            for x, y in [(1e10, 0.5), (-1e10, 0.5), (0.5, -1e10), (1e8, 1e8), (-1e6, -1e6), (1e13, -2.0)]:
+                fx, fy = stats.t.cdf(x, nu), stats.t.cdf(y, nu)
+                val = D.bvt_cdf(rho, nu, x, y)
+                assert max(0.0, fx + fy - 1.0) - 1e-14 <= val <= min(fx, fy) + 1e-14
+
+    def test_non_integer_nu_keeps_quadrature(self):
+        # nu = 6.5 has no closed form; the 128-node rule holds ~1e-8 near the centre
+        for x, y in [(0.7, -0.3), (-1.2, 0.5)]:
+            assert_allclose(D.bvt_cdf(RHO, 6.5, x, y), _bvt_reference(RHO, 6.5, x, y), atol=1e-8)

@@ -152,6 +152,77 @@ class TestKnnScores:
         assert lhs > rhs
 
 
+def _m2_reference(pts, queries, k):
+    """m2 by brute force: a full stable argsort of each distance row, the
+    point's nearest neighbour (itself, for sample points) dropped."""
+    n = pts.shape[0]
+    srt = (np.sort(pts[:, 0]), np.sort(pts[:, 1]))
+
+    def ecdf(q):
+        return np.column_stack([np.searchsorted(srt[j], q[:, j], side="right") / n for j in range(2)])
+
+    f_pts, fq = ecdf(pts), ecdf(queries)
+    dx = queries[:, 0:1] - pts[:, 0]
+    dy = queries[:, 1:2] - pts[:, 1]
+    d = np.sqrt(dx * dx + dy * dy)
+    idx = np.argsort(d, axis=1, kind="stable")[:, 1:k]
+    dist = d[np.arange(idx.shape[0])[:, None], idx]
+    du = fq[:, None, 0] - f_pts[idx, 0]
+    dv = fq[:, None, 1] - f_pts[idx, 1]
+    dp = np.sqrt(du * du + dv * dv)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        terms = np.where(dist > 0.0, dp / dist, 0.0)
+    return terms.sum(axis=1)
+
+
+class TestM2Selection:
+    @pytest.mark.parametrize("data", ["random", "rounded", "duplicated"])
+    def test_bit_identical_to_full_argsort(self, data):
+        rng = np.random.default_rng(21)
+        pts = rng.normal(size=(400, 2))
+        if data == "rounded":
+            pts = np.round(pts, 1)
+        elif data == "duplicated":
+            pts = np.repeat(pts[:100], 4, axis=0)
+        samp = Sample2D(pts)
+        queries = np.vstack([pts, rng.normal(size=(50, 2))])
+        for k in (2, 9, 30, 400):
+            got = M.fit_measure(M.MeasureSpec("m2", k=k), samp).score(queries)
+            assert np.array_equal(got, _m2_reference(pts, queries, k)), k
+
+    def test_default_k_clamped_to_sample_size(self):
+        rng = np.random.default_rng(22)
+        samp = Sample2D(rng.normal(size=(25, 2)))
+        f = M.fit_measure(M.MeasureSpec("m2"), samp)
+        assert f.spec.k == 25
+        assert np.array_equal(f.score(samp.points), _m2_reference(samp.points, samp.points, 25))
+        with pytest.raises(ValueError, match="exceeds sample size"):
+            M.fit_measure(M.MeasureSpec("m2", k=30), samp)
+
+
+class TestSharedParametricFit:
+    def test_pcop_kinds_fit_once_per_sample(self, monkeypatch):
+        calls = []
+        select = M.copulas.select_copula_aic
+        monkeypatch.setattr(M.copulas, "select_copula_aic", lambda *a: calls.append(1) or select(*a))
+        rng = np.random.default_rng(23)
+        pts = rng.normal(size=(200, 2))
+        samp = Sample2D(pts)
+        families = ("normal", "normal")
+        m0 = M.fit_measure(M.MeasureSpec("m0-pcop", marginal_families=families), samp)
+        m3 = M.fit_measure(M.MeasureSpec("m3-pcop", marginal_families=families), samp)
+        assert len(calls) == 1
+        # a fresh sample with the same points fits again, to the same model
+        alone = M.fit_measure(M.MeasureSpec("m3-pcop", marginal_families=families), Sample2D(pts))
+        assert len(calls) == 2
+        assert m3.hyperparams == alone.hyperparams
+        assert np.array_equal(m3.score(pts), alone.score(pts))
+        assert m0.fitted_copula_family == m3.fitted_copula_family
+        # other marginal families are a separate fit
+        M.fit_measure(M.MeasureSpec("m0-pcop", marginal_families=("student_t", "normal")), samp)
+        assert len(calls) == 3
+
+
 class TestRectScores:
     def test_uniform_density_exact_models(self):
         # independence copula + (near-)uniform margins injected: every box
