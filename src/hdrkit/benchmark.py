@@ -73,7 +73,6 @@ class RunConfig:
     workers: int = 1
     k_override: int | None = None
     eps_override: float | None = None
-    timing: bool = False
 
     def __post_init__(self):
         # canonical ids ('s2' and 2 become 'S2'); raises on an unknown id before any work
@@ -108,14 +107,7 @@ def measure_spec_for(s: scen.Scenario, measure: str, k=None, eps=None) -> meas.M
     """Spec for one measure under one scenario: support class from the
     scenario, true marginal families for the parametric-copula kinds."""
     support = meas.SIMPLEX if s.is_simplex else meas.UNBOUNDED
-    kwargs = {"kind": measure, "support_class": support}
-    if measure in (meas.M1_KNN_EUCL, meas.M2_KNN_CDF) and k is not None:
-        kwargs["k"] = int(k)
-    if measure in (meas.M3_ECDF_RECT, meas.M3_NPCOP_RECT, meas.M3_PCOP_RECT) and eps is not None:
-        kwargs["eps"] = float(eps)
-    if measure in (meas.M0_PCOP, meas.M3_PCOP_RECT):
-        kwargs["marginal_families"] = (s.marginals[0].family, s.marginals[1].family)
-    return meas.MeasureSpec(**kwargs)
+    return meas.build_spec(measure, k, eps, support, (s.marginals[0].family, s.marginals[1].family))
 
 
 def _fmt_hyper(hp: dict) -> str:
@@ -283,14 +275,10 @@ def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float 
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
-    if measure in (meas.M1_KNN_EUCL, meas.M2_KNN_CDF):
-        param = "k"
-        settings = [(int(g), None) for g in grid]
-    elif measure in (meas.M3_ECDF_RECT, meas.M3_NPCOP_RECT, meas.M3_PCOP_RECT):
-        param = "eps"
-        settings = [(None, float(g)) for g in grid]
-    else:
+    param = meas.tuned_param(measure)
+    if param is None:
         raise ValueError(f"measure {measure} has no tunable hyperparameter")
+    settings = [(g, None) if param == "k" else (None, g) for g in grid]
     config = RunConfig(scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
                        ref_size=ref_size, workers=workers)
     sid = config.scenarios[0]  # canonical id
@@ -334,16 +322,9 @@ def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None
     for token in measure_tokens:
         if token not in meas.MEASURE_KINDS:
             raise ValueError(f"unknown measure {token!r}")
-        kwargs = {"kind": token}
-        if token in (meas.M1_KNN_EUCL, meas.M2_KNN_CDF) and k is not None:
-            kwargs["k"] = int(k)
-        if token in (meas.M3_ECDF_RECT, meas.M3_NPCOP_RECT, meas.M3_PCOP_RECT) and eps is not None:
-            kwargs["eps"] = float(eps)
-        if token in (meas.M0_PCOP, meas.M3_PCOP_RECT):
-            # external data carries no true family; normal marginals are the
-            # documented default (the nonparametric kinds need no such choice)
-            kwargs["marginal_families"] = ("normal", "normal")
-        fitted = meas.fit_measure(meas.MeasureSpec(**kwargs), sample)
+        # external data carries no true family; normal marginals are the
+        # documented default (the nonparametric kinds need no such choice)
+        fitted = meas.fit_measure(meas.build_spec(token, k, eps, marginal_families=("normal", "normal")), sample)
         scores = fitted.score_vector(sample)
         region = estimate_hdr(scores, alpha, token)
         labels[token] = classify(region, scores.scores)

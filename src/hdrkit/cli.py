@@ -20,6 +20,7 @@ import numpy as np
 from . import measures as meas
 from .benchmark import (
     RunConfig,
+    _write_text,
     apply_measures,
     fmt_float,
     run_bench,
@@ -152,7 +153,6 @@ def _cmd_bench(args) -> int:
         workers=args.workers if args.workers is not None else _default_workers(),
         k_override=args.k,
         eps_override=args.eps,
-        timing=args.timing,
     )
     records, summary = run_bench(config)
     write_results_csv(args.out, records, timing=args.timing)
@@ -234,8 +234,7 @@ def _cmd_apply(args) -> int:
         vals += ["1" if result.labels[t][i] else "0" for t in tokens]
         vals.append("1" if result.consensus[i] else "0")
         lines.append(",".join(vals))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(args.out, lines)
     log.info("wrote labels to %s", args.out)
 
     if args.svg:
@@ -249,8 +248,7 @@ def _cmd_simulate(args) -> int:
     lines = ["x1,x2,true_density"]
     for (x1, x2), d in zip(sample.points, dens):
         lines.append(f"{fmt_float(x1)},{fmt_float(x2)},{fmt_float(d)}")
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(args.out, lines)
     log.info("wrote %d draws to %s", sample.n, args.out)
     return 0
 
@@ -273,8 +271,7 @@ def write_svg_scatter(path: str, points: np.ndarray, inside: np.ndarray, size: i
         cls = "in" if lab else "out"
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" class="{cls}"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, parts)
 
 
 def main(argv=None) -> int:

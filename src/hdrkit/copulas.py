@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
+from .core import _row_blocks
 from .distributions import bvn_cdf, bvt_cdf
 
 __all__ = [
@@ -501,9 +502,6 @@ def npcop_fit(pseudo: PseudoObservations) -> NpCopulaFit:
     return NpCopulaFit(z, float(h[0]), float(h[1]))
 
 
-_BLOCK_BUDGET = 4_000_000  # cap on points-by-kernels intermediates
-
-
 def npcop_pdf(fit: NpCopulaFit, u, v):
     """Transformation-KDE copula density at interior points (u, v)."""
     u = np.asarray(u, dtype=float)
@@ -519,9 +517,7 @@ def npcop_pdf(fit: NpCopulaFit, u, v):
     z1 = fit.z[:, 0]
     z2 = fit.z[:, 1]
     out = np.empty(uf.size)
-    block = max(1, _BLOCK_BUDGET // fit.n)
-    for i in range(0, uf.size, block):
-        sl = slice(i, i + block)
+    for sl in _row_blocks(uf.size, fit.n):
         kern = np.exp(
             -0.5 * (((s[sl, None] - z1) / fit.h1) ** 2 + ((t[sl, None] - z2) / fit.h2) ** 2)
         )
@@ -558,9 +554,7 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
     z1 = fit.z[:, 0]
     z2 = fit.z[:, 1]
     out = np.empty(s_lo.size)
-    block = max(1, _BLOCK_BUDGET // (2 * fit.n))
-    for i in range(0, s_lo.size, block):
-        sl = slice(i, i + block)
+    for sl in _row_blocks(s_lo.size, 2 * fit.n):
         du = special.ndtr((s_hi[sl, None] - z1) / fit.h1) - special.ndtr((s_lo[sl, None] - z1) / fit.h1)
         dv = special.ndtr((t_hi[sl, None] - z2) / fit.h2) - special.ndtr((t_lo[sl, None] - z2) / fit.h2)
         out[sl] = (du * dv).sum(axis=-1)

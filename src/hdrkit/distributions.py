@@ -284,8 +284,8 @@ def _fit_mixture(x: np.ndarray) -> FitReport:
 
 _BVN_X, _BVN_W = np.polynomial.legendre.leggauss(96)
 _BVT_X, _BVT_W = np.polynomial.legendre.leggauss(128)
-# limits past this count as infinite in the series, whose arctan terms lose
-# their branch further out; the t tail mass beyond it is below 1e-14 for nu >= 1
+# limits past this count as infinite: the series' arctan terms lose their
+# branch further out; the t tail mass beyond it is below 1e-14 for nu >= 1
 _BVT_BIG = 1e14
 
 
@@ -326,16 +326,20 @@ def bvt_cdf(rho: float, nu: float, x, y):
     Integer nu (every nu the package fits or simulates) uses the finite
     series of Dunnett & Sobel (Biometrika 41, 1954) in the form of Genz's
     ``bvtl`` (Stat. Comput. 14, 2004): floor(nu/2) terms, within 3e-15 of an
-    adaptive 1-D quadrature for nu in {1, 2, 3, 4, 6, 7, 30}. Infinite
-    limits are exact: ``x = +inf`` gives ``T_nu(y)``, ``y = +inf`` gives
-    ``T_nu(x)``, and either limit at ``-inf`` gives 0; a limit beyond
-    ``+-1e14`` counts as infinite (the t tail mass past it is below 1e-14).
+    adaptive 1-D quadrature for nu in {1, 2, 3, 4, 6, 7, 30}.
 
     Other nu integrate the conditional t CDF (nu+1 degrees of freedom) over
-    the t-probability transform of x with a 128-node Gauss-Legendre rule.
-    Its absolute error is about 1e-8 near the centre but reaches 3e-5 in
-    the tails: -1.7e-5 at nu=2.5, rho=-0.9, (20, 30), and -1.2e-5 at nu=2,
-    rho=0.72, (1.7236, -100.29) when it still served integer nu.
+    the t-probability transform of x with a 128-node Gauss-Legendre rule,
+    clipped to the Frechet bounds ``[max(0, T_nu(x) + T_nu(y) - 1),
+    min(T_nu(x), T_nu(y))]``. Its absolute error is about 1e-8 near the
+    centre but reaches 3e-5 in the tails: -1.7e-5 at nu=2.5, rho=-0.9,
+    (20, 30), and -1.2e-5 at nu=2, rho=0.72, (1.7236, -100.29) when it
+    still served integer nu.
+
+    For every nu, infinite limits are exact: ``x = +inf`` gives
+    ``T_nu(y)``, ``y = +inf`` gives ``T_nu(x)``, and either limit at
+    ``-inf`` gives 0; a limit beyond ``+-1e14`` counts as infinite (the t
+    tail mass past it is below 1e-14).
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("|rho| must be < 1")
@@ -344,16 +348,21 @@ def bvt_cdf(rho: float, nu: float, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
+    big_x = np.abs(x) > _BVT_BIG
+    big_y = np.abs(y) > _BVT_BIG
+    xf = np.where(big_x, 0.0, x)
+    yf = np.where(big_y, 0.0, y)
     if float(nu).is_integer():
-        big_x = np.abs(x) > _BVT_BIG
-        big_y = np.abs(y) > _BVT_BIG
-        out = _bvt_series(rho, int(nu), np.where(big_x, 0.0, x), np.where(big_y, 0.0, y))
-        if big_x.any() or big_y.any():
-            out = np.where(big_x & (x > 0), stats.t.cdf(y, nu), out)
-            out = np.where(big_y & (y > 0), stats.t.cdf(x, nu), out)
-            out = np.where((big_x & (x < 0)) | (big_y & (y < 0)), 0.0, out)
+        out = _bvt_series(rho, int(nu), xf, yf)
     else:
-        out = _bvt_quadrature(rho, nu, x, y)
+        # the quadrature can leave the Frechet bounds in the tails
+        tx = stats.t.cdf(xf, nu)
+        ty = stats.t.cdf(yf, nu)
+        out = np.clip(_bvt_quadrature(rho, nu, xf, yf), np.maximum(0.0, tx + ty - 1.0), np.minimum(tx, ty))
+    if big_x.any() or big_y.any():
+        out = np.where(big_x & (x > 0), stats.t.cdf(y, nu), out)
+        out = np.where(big_y & (y > 0), stats.t.cdf(x, nu), out)
+        out = np.where((big_x & (x < 0)) | (big_y & (y < 0)), 0.0, out)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -13,6 +13,8 @@ Roster (CLI token, orientation):
 
 Fitting is single-threaded; the returned state is immutable and its
 ``score`` method is pure, so one fitted measure can serve many workers.
+The query-by-sample passes walk ``core._row_blocks``; the sample's
+marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from scipy import special, stats
 
 from . import copulas, distributions as dists
-from .core import Orientation, Sample2D, ScoreVector, _k_smallest
+from .core import Orientation, Sample2D, ScoreVector, _k_smallest, _row_blocks
 
 __all__ = [
     "MeasureSpec",
@@ -43,6 +45,8 @@ __all__ = [
     "SIMPLEX",
     "heuristic_k",
     "heuristic_eps",
+    "tuned_param",
+    "build_spec",
     "fit_measure",
     "m0_pcop_from_models",
     "m3_pcop_from_models",
@@ -74,8 +78,8 @@ SIMPLEX = "simplex"
 _EPS_KINDS = (M3_ECDF_RECT, M3_NPCOP_RECT, M3_PCOP_RECT)
 _K_KINDS = (M1_KNN_EUCL, M2_KNN_CDF)
 _MODEL_KINDS = (M0_NPCOP, M0_PCOP, M3_NPCOP_RECT, M3_PCOP_RECT)
+_PCOP_KINDS = (M0_PCOP, M3_PCOP_RECT)
 
-_BLOCK_BUDGET = 4_000_000
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
 
 
@@ -106,6 +110,29 @@ class MeasureSpec:
             raise ValueError("k must be >= 1")
         if (self.copula_candidates or self.marginal_families) and self.kind not in _MODEL_KINDS:
             raise ValueError(f"{self.kind} takes no copula/marginal settings")
+
+
+def tuned_param(kind: str) -> str | None:
+    """The hyperparameter ``kind`` takes: "k", "eps", or None for none."""
+    if kind in _K_KINDS:
+        return "k"
+    if kind in _EPS_KINDS:
+        return "eps"
+    return None
+
+
+def build_spec(kind: str, k=None, eps=None, support_class: str = UNBOUNDED, marginal_families=None) -> MeasureSpec:
+    """Spec for ``kind`` from settings shared by a whole run: ``k`` and
+    ``eps`` are kept only for the kinds that take them, and the marginal
+    families only for the parametric-copula kinds."""
+    param = tuned_param(kind)
+    return MeasureSpec(
+        kind,
+        k=int(k) if param == "k" and k is not None else None,
+        eps=float(eps) if param == "eps" and eps is not None else None,
+        marginal_families=tuple(marginal_families) if kind in _PCOP_KINDS else None,
+        support_class=support_class,
+    )
 
 
 def heuristic_k(n: int) -> int:
@@ -169,10 +196,8 @@ class _KdeState:
     def score(self, q: np.ndarray) -> np.ndarray:
         n = self.pts.shape[0]
         out = np.empty(q.shape[0])
-        block = max(1, _BLOCK_BUDGET // n)
         inv2h2 = 1.0 / (2.0 * self.h * self.h)
-        for i in range(0, q.shape[0], block):
-            sl = slice(i, i + block)
+        for sl in _row_blocks(q.shape[0], n):
             dx = q[sl, 0:1] - self.pts[:, 0]
             dy = q[sl, 1:2] - self.pts[:, 1]
             out[sl] = np.exp(-(dx * dx + dy * dy) * inv2h2).sum(axis=1)
@@ -187,9 +212,7 @@ class _KnnEuclState:
     def score(self, q: np.ndarray) -> np.ndarray:
         n = self.pts.shape[0]
         out = np.empty(q.shape[0])
-        block = max(1, _BLOCK_BUDGET // n)
-        for i in range(0, q.shape[0], block):
-            sl = slice(i, i + block)
+        for sl in _row_blocks(q.shape[0], n):
             dx = q[sl, 0:1] - self.pts[:, 0]
             dy = q[sl, 1:2] - self.pts[:, 1]
             d = np.sqrt(dx * dx + dy * dy)
@@ -201,35 +224,34 @@ class _KnnEuclState:
         return out
 
 
+class _MarginalEcdf:
+    """The sample's marginal ECDFs, as counts: for each query coordinate,
+    how many sample entries of its column are <= it."""
+
+    def __init__(self, pts: np.ndarray):
+        self.sorted_cols = (np.sort(pts[:, 0]), np.sort(pts[:, 1]))
+        self.n = pts.shape[0]
+
+    def counts(self, q: np.ndarray) -> np.ndarray:
+        """(m, 2) integer counts at (m, 2) query points."""
+        return np.column_stack([np.searchsorted(self.sorted_cols[j], q[:, j], side="right") for j in range(2)])
+
+
 class _KnnCdfState:
     def __init__(self, pts: np.ndarray, k: int):
         self.pts = pts
         self.k = k
-        self.sorted_cols = (np.sort(pts[:, 0]), np.sort(pts[:, 1]))
-        n = pts.shape[0]
-        # ECDF values of the sample points themselves
-        self.f_pts = np.column_stack([
-            np.searchsorted(self.sorted_cols[0], pts[:, 0], side="right") / n,
-            np.searchsorted(self.sorted_cols[1], pts[:, 1], side="right") / n,
-        ])
-
-    def _ecdf(self, q: np.ndarray) -> np.ndarray:
-        n = self.pts.shape[0]
-        return np.column_stack([
-            np.searchsorted(self.sorted_cols[0], q[:, 0], side="right") / n,
-            np.searchsorted(self.sorted_cols[1], q[:, 1], side="right") / n,
-        ])
+        self.ecdf = _MarginalEcdf(pts)
+        self.f_pts = self.ecdf.counts(pts) / self.ecdf.n  # ECDF values of the sample points themselves
 
     def score(self, q: np.ndarray) -> np.ndarray:
         if self.k == 1:
             return np.zeros(q.shape[0])
         n = self.pts.shape[0]
         k = self.k
-        fq = self._ecdf(q)
+        fq = self.ecdf.counts(q) / n
         out = np.empty(q.shape[0])
-        block = max(1, _BLOCK_BUDGET // (2 * n))
-        for i in range(0, q.shape[0], block):
-            sl = slice(i, i + block)
+        for sl in _row_blocks(q.shape[0], 2 * n):
             dx = q[sl, 0:1] - self.pts[:, 0]
             dy = q[sl, 1:2] - self.pts[:, 1]
             d = np.sqrt(dx * dx + dy * dy)
@@ -255,9 +277,7 @@ class _EcdfRectState:
         n = self.pts.shape[0]
         eps = self.eps
         out = np.empty(q.shape[0])
-        block = max(1, _BLOCK_BUDGET // n)
-        for i in range(0, q.shape[0], block):
-            sl = slice(i, i + block)
+        for sl in _row_blocks(q.shape[0], n):
             in_x = (np.abs(q[sl, 0:1] - self.pts[:, 0]) <= eps)
             in_y = (np.abs(q[sl, 1:2] - self.pts[:, 1]) <= eps)
             out[sl] = np.count_nonzero(in_x & in_y, axis=1)
@@ -277,47 +297,31 @@ class _MarginalKde:
     def pdf(self, t: np.ndarray) -> np.ndarray:
         n = self.col.size
         out = np.empty(t.size)
-        block = max(1, _BLOCK_BUDGET // n)
-        for i in range(0, t.size, block):
-            sl = slice(i, i + block)
+        for sl in _row_blocks(t.size, n):
             z = (t[sl, None] - self.col) / self.h
             out[sl] = np.exp(-0.5 * z * z).sum(axis=1)
         return out / (n * self.h * math.sqrt(2.0 * math.pi))
 
 
-class _EcdfTransform:
-    """Maps data coordinates to pseudo-coordinates n/(n+1) * F_n, clamped to
-    [1/(n+1), n/(n+1)] so the normal quantile stays finite; sample points
-    with distinct coordinates land exactly on ranks/(n+1)."""
-
-    def __init__(self, pts: np.ndarray):
-        self.sorted_cols = (np.sort(pts[:, 0]), np.sort(pts[:, 1]))
-        self.n = pts.shape[0]
-
-    def u(self, q: np.ndarray) -> np.ndarray:
-        n = self.n
-        out = np.column_stack([
-            np.searchsorted(self.sorted_cols[0], q[:, 0], side="right"),
-            np.searchsorted(self.sorted_cols[1], q[:, 1], side="right"),
-        ]) / (n + 1.0)
-        return np.clip(out, 1.0 / (n + 1.0), n / (n + 1.0))
-
-
 class _NpCopDensityState:
     def __init__(self, pts: np.ndarray):
-        self.transform = _EcdfTransform(pts)
+        self.ecdf = _MarginalEcdf(pts)
         self.marg = (_MarginalKde(pts[:, 0]), _MarginalKde(pts[:, 1]))
         self.copfit = copulas.npcop_fit(copulas.pseudo_observations(pts))
 
     def score(self, q: np.ndarray) -> np.ndarray:
-        u = self.transform.u(q)
+        # pseudo-coordinates n/(n+1) * F_n, clamped to [1/(n+1), n/(n+1)] so
+        # the normal quantile stays finite; sample points with distinct
+        # coordinates land exactly on ranks/(n+1)
+        n = self.ecdf.n
+        u = np.clip(self.ecdf.counts(q) / (n + 1.0), 1.0 / (n + 1.0), n / (n + 1.0))
         c = copulas.npcop_pdf(self.copfit, u[:, 0], u[:, 1])
         return c * self.marg[0].pdf(q[:, 0]) * self.marg[1].pdf(q[:, 1])
 
 
 class _NpCopRectState:
     def __init__(self, pts: np.ndarray, eps: float):
-        self.transform = _EcdfTransform(pts)
+        self.ecdf = _MarginalEcdf(pts)
         self.copfit = copulas.npcop_fit(copulas.pseudo_observations(pts))
         self.eps = eps
 
@@ -325,13 +329,9 @@ class _NpCopRectState:
         eps = self.eps
         # plain ECDF bounds: 0 and 1 map to the infinite tails of the
         # transformed kernels inside npcop_rect_prob
-        t = self.transform
-        n = t.n
-        u_lo = np.searchsorted(t.sorted_cols[0], q[:, 0] - eps, side="right") / n
-        u_hi = np.searchsorted(t.sorted_cols[0], q[:, 0] + eps, side="right") / n
-        v_lo = np.searchsorted(t.sorted_cols[1], q[:, 1] - eps, side="right") / n
-        v_hi = np.searchsorted(t.sorted_cols[1], q[:, 1] + eps, side="right") / n
-        prob = copulas.npcop_rect_prob(self.copfit, u_lo, u_hi, v_lo, v_hi)
+        lo = self.ecdf.counts(q - eps) / self.ecdf.n
+        hi = self.ecdf.counts(q + eps) / self.ecdf.n
+        prob = copulas.npcop_rect_prob(self.copfit, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
         return prob / (4.0 * eps * eps)
 
 

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hdrkit as hk
-from hdrkit.benchmark import RunConfig, apply_measures, replicate_rng, run_bench, run_tune
+from hdrkit import benchmark
+from hdrkit.benchmark import RunConfig, apply_measures, measure_spec_for, replicate_rng, run_bench, run_tune
 from hdrkit.cli import main
 
 FAST = dict(reps=8, seed=42, ref_size=10 ** 5)
@@ -182,6 +183,19 @@ class TestApply:
         for p in (a, b):
             main(["simulate", "--scenario", "S2", "--n", "50", "--seed", "11", "--out", str(p)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_specs_match_bench_specs(self, monkeypatch):
+        # S2 has normal marginals on an unbounded support, apply's defaults
+        specs = []
+        fit = benchmark.meas.fit_measure
+        monkeypatch.setattr(benchmark.meas, "fit_measure", lambda spec, sample: specs.append(spec) or fit(spec, sample))
+        pts = replicate_rng(3, "S2", 40, "spec", 0).normal(size=(40, 2))
+        apply_measures(pts, hk.MEASURE_KINDS, k=5, eps=0.3)
+        s2 = hk.scenario("S2")
+        assert specs == [measure_spec_for(s2, kind, k=5, eps=0.3) for kind in hk.MEASURE_KINDS]
+        assert {s.kind: (s.k, s.eps) for s in specs if s.k or s.eps} == {
+            "m1": (5, None), "m2": (5, None), "m3-ecdf": (None, 0.3), "m3-npcop": (None, 0.3), "m3-pcop": (None, 0.3)}
+        assert {s.kind for s in specs if s.marginal_families} == {"m0-pcop", "m3-pcop"}
 
     def test_consensus_inside_fraction(self):
         rng = np.random.default_rng(1)

@@ -8,11 +8,10 @@ from hdrkit.core import (
     Sample2D,
     ScoreVector,
     _k_smallest,
-    ecdf1,
     knn_indices,
-    rect_count,
     threshold_index,
 )
+from oracles import ecdf1, rect_count
 
 
 class TestSample2D:
@@ -31,6 +30,8 @@ class TestSample2D:
 
 
 class TestEcdf1:
+    """The ECDF oracle that m2's ECDF coordinates are checked against."""
+
     def test_half(self):
         assert ecdf1([1, 2, 3, 4], 2.5) == 0.5
 
@@ -54,6 +55,8 @@ class TestEcdf1:
 
 
 class TestRectCount:
+    """The box-count oracle that m3-ecdf's scores are checked against."""
+
     def test_single_point_in_box(self):
         s = Sample2D([(0, 0), (1, 1), (2, 2)])
         assert rect_count(s, (0.5, 0.5), (1.5, 1.5)) == 1

@@ -227,7 +227,7 @@ class TestBvtClosedForm:
         assert_allclose(D.bvt_cdf(0.72, 2.0, 1.7236, -100.29), _bvt_reference(0.72, 2, 1.7236, -100.29),
                         rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("nu", [1.0, 2.0, 5.0, 6.0])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 5.0, 6.0, 6.5])
     def test_infinite_limits_exact(self, nu):
         from scipy import stats
 
@@ -240,7 +240,7 @@ class TestBvtClosedForm:
         assert D.bvt_cdf(0.6, nu, np.inf, np.inf) == 1.0
         assert D.bvt_cdf(0.6, nu, np.inf, -np.inf) == 0.0
 
-    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 30.0])
+    @pytest.mark.parametrize("nu", [1.0, 2.0, 3.0, 30.0, 6.5])
     def test_far_limits_within_frechet_bounds(self, nu):
         from scipy import stats
 

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import hdrkit as hk
-from hdrkit import distributions as D, measures as M
+from hdrkit import copulas as C, core, distributions as D, measures as M
 from hdrkit.benchmark import measure_spec_for, replicate_rng
 from hdrkit.core import Orientation, Sample2D
+from oracles import ecdf1, rect_count
 
 
 class TestHeuristics:
@@ -155,11 +156,9 @@ class TestKnnScores:
 def _m2_reference(pts, queries, k):
     """m2 by brute force: a full stable argsort of each distance row, the
     point's nearest neighbour (itself, for sample points) dropped."""
-    n = pts.shape[0]
-    srt = (np.sort(pts[:, 0]), np.sort(pts[:, 1]))
 
     def ecdf(q):
-        return np.column_stack([np.searchsorted(srt[j], q[:, j], side="right") / n for j in range(2)])
+        return np.column_stack([ecdf1(pts[:, j], q[:, j]) for j in range(2)])
 
     f_pts, fq = ecdf(pts), ecdf(queries)
     dx = queries[:, 0:1] - pts[:, 0]
@@ -198,6 +197,35 @@ class TestM2Selection:
         assert np.array_equal(f.score(samp.points), _m2_reference(samp.points, samp.points, 25))
         with pytest.raises(ValueError, match="exceeds sample size"):
             M.fit_measure(M.MeasureSpec("m2", k=30), samp)
+
+
+class TestBlockedKernel:
+    def test_block_boundaries_keep_bits(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        pts = rng.normal(size=(60, 2))
+        samp = Sample2D(pts)
+        queries = np.vstack([pts, rng.normal(size=(10, 2))])
+        fits = [M.fit_measure(M.build_spec(kind, marginal_families=("normal", "normal")), samp)
+                for kind in M.MEASURE_KINDS]
+        copfit = C.npcop_fit(C.pseudo_observations(pts))
+        u = np.sort(rng.uniform(0.01, 0.99, size=(70, 4)), axis=1)
+
+        def run():
+            return (
+                [f.score(queries) for f in fits],
+                C.npcop_pdf(copfit, u[:, 0], u[:, 3]),
+                C.npcop_rect_prob(copfit, u[:, 0], u[:, 1], u[:, 2], u[:, 3]),
+            )
+
+        whole = run()
+        # 70 queries against 60 points: blocks of 8 rows at width n (8 and a
+        # remainder of 6) and of 4 rows at width 2n (17 and a remainder of 2)
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 500)
+        blocked = run()
+        for kind, a, b in zip(M.MEASURE_KINDS, whole[0], blocked[0]):
+            assert np.array_equal(a, b), kind
+        assert np.array_equal(whole[1], blocked[1])
+        assert np.array_equal(whole[2], blocked[2])
 
 
 class TestSharedParametricFit:
@@ -240,6 +268,16 @@ class TestRectScores:
         samp = Sample2D([(0, 0), (10, 10), (-10, 10), (10, -10)])
         f = M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.5), samp)
         assert_allclose(f.score((0.0, 0.0)), (1.0 / 4.0) / (4.0 * 0.25), rtol=1e-12)
+
+    def test_ecdf_rect_counts_match_oracle(self):
+        rng = np.random.default_rng(24)
+        pts = rng.normal(size=(300, 2))
+        samp = Sample2D(pts)
+        queries = np.vstack([pts[:60], rng.normal(size=(40, 2))])
+        for eps in (0.05, 0.4, 2.0):
+            got = M.fit_measure(M.MeasureSpec("m3-ecdf", eps=eps), samp).score(queries)
+            counts = np.array([rect_count(samp, q - eps, q + eps) for q in queries])
+            assert np.array_equal(got, counts / (300 * 4.0 * eps * eps)), eps
 
     def test_pcop_rect_matches_density_at_mode(self):
         s2 = hk.scenario("S2")
