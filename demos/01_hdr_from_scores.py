@@ -22,7 +22,7 @@ sample = hk.Sample2D(pts)
 for kind in ("m0-kde", "m1", "m3-ecdf"):
     fitted = fit_measure(MeasureSpec(kind), sample)
     scores = fitted.score_vector(sample)
-    region = hk.estimate_hdr(scores, alpha=0.05, measure_id=kind)
+    region = hk.estimate_hdr(scores, alpha=0.05)
     inside = hk.classify(region, scores.scores)
     flagged_planted = int(np.count_nonzero(~inside[:10]))
     print(

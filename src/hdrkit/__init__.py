@@ -8,7 +8,7 @@ copula variants), closed-form scenario generators with a Monte Carlo
 truth oracle, the evaluation metrics, and a reproducible benchmark CLI.
 """
 
-from .core import Orientation, Sample2D, ScoreVector, knn_indices, threshold_index
+from .core import Orientation, Sample2D, ScoreVector, threshold_index
 from .distributions import (
     FitReport,
     MarginalModel,

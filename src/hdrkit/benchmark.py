@@ -6,11 +6,12 @@ into a numpy SeedSequence feeding a Philox counter-based generator. Streams
 never depend on worker scheduling, so results are identical for any worker
 count, and reruns are byte-identical.
 
-A replicate runs in two stages: draw the sample and label its truth, then
-evaluate one measure spec on the labelled sample (fit, score, threshold,
-classify, metrics). Neither the truth oracle nor the replicate stream
-depends on a hyperparameter, so ``run_tune`` builds the oracle once and
-draws each replicate's sample once, sharing both across the grid values.
+A replicate draws its sample and labels the sample's truth once, then
+evaluates each ``(k, eps)`` setting it is given on that sample (fit,
+score, threshold, classify, metrics). Neither the truth oracle nor the
+replicate stream depends on a hyperparameter, so ``run_tune`` builds the
+oracle once and hands every replicate its whole grid, while ``run_bench``
+hands each replicate the run's one setting.
 """
 
 from __future__ import annotations
@@ -122,38 +123,34 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def _draw_labelled(s: scen.Scenario, n: int, measure: str, replicate: int, oracle: scen.TruthOracle, seed: int):
-    """First stage of a replicate: its sample and the sample's true inside-labels."""
-    sample = scen.sample_scenario(s, n, replicate_rng(seed, s.id, n, measure, replicate))
-    return sample, scen.label_truth(oracle, s, sample.points)
-
-
-def _evaluate(s: scen.Scenario, measure: str, sample: Sample2D, truth, alpha: float, k=None, eps=None):
-    """Second stage of a replicate: fit one spec to the labelled sample,
-    threshold and classify its scores, and score the labels against truth."""
-    fitted = meas.fit_measure(measure_spec_for(s, measure, k=k, eps=eps), sample)
-    scores = fitted.score_vector(sample)
-    pred = classify(estimate_hdr(scores, alpha, measure), scores.scores)
-    return fitted, metrics(confusion(pred, truth))
-
-
 def run_replicate(s: scen.Scenario, n: int, measure: str, replicate: int, oracle: scen.TruthOracle,
-                  seed: int, alpha: float, k=None, eps=None) -> ResultRecord:
-    """One cell of the benchmark: sample, fit, threshold, classify, score."""
+                  seed: int, alpha: float, settings) -> list:
+    """One replicate: draw and truth-label its sample once, then fit, score,
+    threshold, classify and compare with truth for each ``(k, eps)`` in
+    ``settings``. Returns one record per setting, in order; a record's wall
+    time covers the draw plus its own evaluation."""
     t0 = time.perf_counter()
-    sample, truth = _draw_labelled(s, n, measure, replicate, oracle, seed)
-    fitted, row = _evaluate(s, measure, sample, truth, alpha, k, eps)
-    ms = (time.perf_counter() - t0) * 1e3
-    return ResultRecord(
-        s.id, n, measure, replicate, row.as_tuple(),
-        _fmt_hyper(fitted.hyperparams), fitted.fitted_copula_family or "", ms,
-    )
+    sample = scen.sample_scenario(s, n, replicate_rng(seed, s.id, n, measure, replicate))
+    truth = scen.label_truth(oracle, s, sample.points)
+    draw_s = time.perf_counter() - t0
+    records = []
+    for k, eps in settings:
+        t0 = time.perf_counter()
+        fitted = meas.fit_measure(measure_spec_for(s, measure, k=k, eps=eps), sample)
+        scores = fitted.score_vector(sample)
+        row = metrics(confusion(classify(estimate_hdr(scores, alpha), scores.scores), truth))
+        ms = (draw_s + time.perf_counter() - t0) * 1e3
+        records.append(ResultRecord(
+            s.id, n, measure, replicate, row.as_tuple(),
+            _fmt_hyper(fitted.hyperparams), fitted.fitted_copula_family or "", ms,
+        ))
+    return records
 
 
 def _run_batch(args):
-    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, k, eps = args
+    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, settings = args
     s = scen.scenario(sid)
-    return [run_replicate(s, n, measure, r, oracle, seed, alpha, k, eps) for r in range(rep_lo, rep_hi)]
+    return [run_replicate(s, n, measure, r, oracle, seed, alpha, settings) for r in range(rep_lo, rep_hi)]
 
 
 def _batches(reps: int, workers: int):
@@ -193,10 +190,11 @@ def run_bench(config: RunConfig):
     (scenario, n, measure) to per-metric (mean, sd) pairs.
     """
     oracles = _build_oracles(config)
-    tasks = [(sid, n, m, lo, hi, oracles[sid], config.seed, config.alpha, config.k_override, config.eps_override)
+    settings = [(config.k_override, config.eps_override)]
+    tasks = [(sid, n, m, lo, hi, oracles[sid], config.seed, config.alpha, settings)
              for sid in config.scenarios for n in config.ns for m in config.measures
              for lo, hi in _batches(config.reps, config.workers)]
-    records = [rec for chunk in _map(_run_batch, tasks, config.workers) for rec in chunk]
+    records = [rec for chunk in _map(_run_batch, tasks, config.workers) for recs in chunk for rec in recs]
     sid_order = {sid: i for i, sid in enumerate(config.scenarios)}
     n_order = {n: i for i, n in enumerate(config.ns)}
     m_order = {m: i for i, m in enumerate(config.measures)}
@@ -250,18 +248,6 @@ def _write_text(path, lines):
 # tuning
 
 
-def _tune_batch(args):
-    """Per replicate in ``[lo, hi)``, one metrics row per grid setting, all
-    evaluated on the replicate's single labelled sample."""
-    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, settings = args
-    s = scen.scenario(sid)
-    out = []
-    for r in range(rep_lo, rep_hi):
-        sample, truth = _draw_labelled(s, n, measure, r, oracle, seed)
-        out.append([_evaluate(s, measure, sample, truth, alpha, k, eps)[1] for k, eps in settings])
-    return out
-
-
 def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float = 0.05,
              seed: int = 42, ref_size: int = _DEFAULT_REF_SIZE, workers: int = 1):
     """Mean metrics per hyperparameter grid value (k for the kNN measures,
@@ -282,11 +268,14 @@ def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float 
     config = RunConfig(scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
                        ref_size=ref_size, workers=workers)
     sid = config.scenarios[0]  # canonical id
+    for k, eps in settings:  # a bad grid value fails before the oracle is built
+        measure_spec_for(scen.scenario(sid), measure, k=k, eps=eps)
     oracle = _build_oracles(config)[sid]
     tasks = [(sid, n, measure, lo, hi, oracle, seed, alpha, settings) for lo, hi in _batches(reps, workers)]
-    per_rep = [rows for chunk in _map(_tune_batch, tasks, workers) for rows in chunk]
+    per_rep = [recs for chunk in _map(_run_batch, tasks, workers) for recs in chunk]
     return param, [
-        (g, {name: mean for name, (mean, _sd) in _summarize([rows[i] for rows in per_rep]).items()})
+        (g, {name: mean for name, (mean, _sd) in
+             _summarize([MetricsRow(*recs[i].row) for recs in per_rep]).items()})
         for i, g in enumerate(grid)
     ]
 
@@ -326,7 +315,7 @@ def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None
         # documented default (the nonparametric kinds need no such choice)
         fitted = meas.fit_measure(meas.build_spec(token, k, eps, marginal_families=("normal", "normal")), sample)
         scores = fitted.score_vector(sample)
-        region = estimate_hdr(scores, alpha, token)
+        region = estimate_hdr(scores, alpha)
         labels[token] = classify(region, scores.scores)
         hps[token] = _fmt_hyper(fitted.hyperparams)
     consensus = measure_average([labels[t] for t in measure_tokens])

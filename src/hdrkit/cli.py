@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 
@@ -75,6 +76,8 @@ def _parse_grid(text: str):
     out = []
     for t in vals:
         f = float(t)
+        if not math.isfinite(f):
+            raise ValueError(f"grid value {t.strip()!r} is not finite")
         out.append(int(f) if f == int(f) and "." not in t and "e" not in t.lower() else f)
     return out
 

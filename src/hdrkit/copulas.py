@@ -51,8 +51,8 @@ CLAYTON = "clayton"
 INDEPENDENCE = "independence"
 DIRICHLET11A = "dirichlet11a"
 
+# the families AIC selection chooses among, in tie-break order
 FITTABLE_FAMILIES = (GAUSSIAN, STUDENT_T, FRANK, CLAYTON)
-DEFAULT_CANDIDATES = FITTABLE_FAMILIES
 
 _RHO_MAX = 0.995
 _THETA_MAX = 50.0
@@ -270,7 +270,6 @@ class PseudoObservations:
     parametric-CDF transforms."""
 
     u: np.ndarray  # (n, 2)
-    source: str  # "ecdf_rescaled" | "parametric_cdf" | "simulated"
 
     def __post_init__(self):
         arr = np.asarray(self.u, dtype=float)
@@ -295,7 +294,7 @@ def pseudo_observations(points: np.ndarray) -> PseudoObservations:
         r = np.empty(n)
         r[order] = np.arange(1, n + 1)
         ranks[:, j] = r
-    return PseudoObservations(ranks / (n + 1.0), "ecdf_rescaled")
+    return PseudoObservations(ranks / (n + 1.0))
 
 
 def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObservations:
@@ -311,13 +310,13 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
 
     if c.family == INDEPENDENCE:
         u = rng.random((n, 2))
-        return PseudoObservations(_clip_open(u), "simulated")
+        return PseudoObservations(_clip_open(u))
 
     if c.family == GAUSSIAN:
         z = rng.standard_normal((n, 2))
         z2 = c.rho * z[:, 0] + np.sqrt(1.0 - c.rho ** 2) * z[:, 1]
         u = np.column_stack([special.ndtr(z[:, 0]), special.ndtr(z2)])
-        return PseudoObservations(_clip_open(u), "simulated")
+        return PseudoObservations(_clip_open(u))
 
     if c.family == STUDENT_T:
         z = rng.standard_normal((n, 2))
@@ -325,7 +324,7 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
         g = rng.chisquare(c.nu, n) / c.nu
         x = np.column_stack([z[:, 0], z2]) / np.sqrt(g)[:, None]
         u = stats.t.cdf(x, c.nu)
-        return PseudoObservations(_clip_open(u), "simulated")
+        return PseudoObservations(_clip_open(u))
 
     if c.family == FRANK:
         th = c.theta
@@ -334,14 +333,14 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
         eu = np.exp(-th * u1)
         ev = 1.0 + p * np.expm1(-th) / (eu * (1.0 - p) + p)
         u2 = -np.log(ev) / th
-        return PseudoObservations(_clip_open(np.column_stack([u1, u2])), "simulated")
+        return PseudoObservations(_clip_open(np.column_stack([u1, u2])))
 
     if c.family == CLAYTON:
         th = c.theta
         u1 = rng.random(n)
         p = rng.random(n)
         u2 = ((p ** (-th / (th + 1.0)) - 1.0) * u1 ** -th + 1.0) ** (-1.0 / th)
-        return PseudoObservations(_clip_open(np.column_stack([u1, u2])), "simulated")
+        return PseudoObservations(_clip_open(np.column_stack([u1, u2])))
 
     if c.family == DIRICHLET11A:
         g = np.column_stack([
@@ -351,7 +350,7 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
         ])
         x = g[:, :2] / g.sum(axis=1)[:, None]
         u = 1.0 - (1.0 - x) ** (c.a + 1.0)
-        return PseudoObservations(_clip_open(u), "simulated")
+        return PseudoObservations(_clip_open(u))
 
     raise ValueError(f"cannot sample from {c.family!r}")
 
@@ -365,22 +364,12 @@ def _clip_open(u: np.ndarray) -> np.ndarray:
 # maximum likelihood fitting and AIC selection
 
 
-def _loglik_1param(family: str, u: np.ndarray, v: np.ndarray):
-    if family == GAUSSIAN:
-        def ll(rho):
-            return float(np.sum(np.log(copula_pdf(gaussian(rho), u, v))))
-        return ll, (-_RHO_MAX, _RHO_MAX)
-    if family == FRANK:
-        def ll(theta):
-            if abs(theta) < 1e-8:
-                return 0.0  # independence limit: density == 1
-            return float(np.sum(np.log(copula_pdf(frank(theta), u, v))))
-        return ll, (-_THETA_MAX, _THETA_MAX)
-    if family == CLAYTON:
-        def ll(theta):
-            return float(np.sum(np.log(copula_pdf(clayton(theta), u, v))))
-        return ll, (1e-6, _THETA_MAX)
-    raise ValueError(family)
+# one-parameter families: constructor and the bounds of the scalar search
+_ONE_PARAM = {
+    GAUSSIAN: (gaussian, (-_RHO_MAX, _RHO_MAX)),
+    FRANK: (frank, (-_THETA_MAX, _THETA_MAX)),
+    CLAYTON: (clayton, (1e-6, _THETA_MAX)),
+}
 
 
 def fit_copula_mle(pseudo: PseudoObservations, family: str):
@@ -423,41 +412,36 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
         rho, nu, ll = best
         return student_t_copula(rho, nu), ll
 
-    ll_fn, (lo, hi) = _loglik_1param(family, u, v)
-    res = optimize.minimize_scalar(lambda p: -ll_fn(p), bounds=(lo, hi), method="bounded", options={"xatol": 1e-7})
+    make, bounds = _ONE_PARAM[family]
+
+    def loglik(p):
+        if family == FRANK and abs(p) < 1e-8:
+            return 0.0  # independence limit: density == 1
+        return float(np.sum(np.log(copula_pdf(make(p), u, v))))
+
+    res = optimize.minimize_scalar(lambda p: -loglik(p), bounds=bounds, method="bounded", options={"xatol": 1e-7})
     if not res.success:
         raise RuntimeError(f"copula MLE did not converge for {family}: {res.message}")
     param = float(res.x)
+    ll = loglik(param)
     if family == FRANK and abs(param) < 1e-8:
         param = 1e-8 if param >= 0 else -1e-8  # keep theta != 0; near-independence
-        model = frank(param)
-    elif family == FRANK:
-        model = frank(param)
-    elif family == GAUSSIAN:
-        model = gaussian(param)
-    else:
-        model = clayton(param)
-    return model, float(ll_fn(param))
+    return make(param), ll
 
 
-def select_copula_aic(pseudo: PseudoObservations, candidates=DEFAULT_CANDIDATES):
-    """Fit each candidate family and keep the AIC minimizer.
+def select_copula_aic(pseudo: PseudoObservations):
+    """Fit each family in ``FITTABLE_FAMILIES`` and keep the AIC minimizer.
 
     AIC = 2k - 2 loglik with k the parameter count. Ties prefer fewer
-    parameters, then candidate-list order. Per-family fit failures are
-    skipped; only an all-fail run raises.
+    parameters, then ``FITTABLE_FAMILIES`` order. Per-family fit failures
+    are skipped; only an all-fail run raises.
 
     Returns ``(CopulaModel, aic_table)`` where the table maps family name
-    to ``(aic, loglik)`` for every candidate that fit.
+    to ``(aic, loglik)`` for every family that fit.
     """
-    if not candidates:
-        raise ValueError("candidate list must be nonempty")
     table = {}
     errors = {}
-    for fam in candidates:
-        if fam == INDEPENDENCE:
-            table[fam] = (0.0, 0.0, independence())
-            continue
+    for fam in FITTABLE_FAMILIES:
         try:
             model, ll = fit_copula_mle(pseudo, fam)
         except Exception as exc:  # noqa: BLE001 - selection proceeds over successes
@@ -467,7 +451,7 @@ def select_copula_aic(pseudo: PseudoObservations, candidates=DEFAULT_CANDIDATES)
         table[fam] = (aic, ll, model)
     if not table:
         raise RuntimeError(f"all candidate copula fits failed: {errors}")
-    order = {fam: i for i, fam in enumerate(candidates)}
+    order = {fam: i for i, fam in enumerate(FITTABLE_FAMILIES)}
     best_fam = min(table, key=lambda f: (table[f][0], table[f][2].n_params(), order[f]))
     aic_table = {f: (table[f][0], table[f][1]) for f in table}
     return table[best_fam][2], aic_table

@@ -18,7 +18,6 @@ __all__ = [
     "Orientation",
     "Sample2D",
     "ScoreVector",
-    "knn_indices",
     "threshold_index",
 ]
 
@@ -133,22 +132,6 @@ def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
     cand = np.sort(part[:, :m], axis=1)
     order = np.argsort(np.take_along_axis(dist, cand, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cand, order[:, :k], axis=1)
-
-
-def knn_indices(sample: Sample2D, query, k: int) -> np.ndarray:
-    """Indices of the k nearest sample points to ``query`` (Euclidean).
-
-    Sorted ascending by distance; exact distance ties resolve to the lower
-    sample index so repeated runs are identical.
-    """
-    if not (1 <= k <= sample.n):
-        raise ValueError(f"k={k} out of range [1, {sample.n}]")
-    q = np.asarray(query, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("query must be finite")
-    d = sample.points - q
-    dist = np.hypot(d[:, 0], d[:, 1])
-    return _k_smallest(dist[None, :], k)[0]
 
 
 def threshold_index(n: int, alpha: float, orientation: Orientation) -> int:

@@ -6,10 +6,10 @@ shared variance, and the Beta(1, a+1) law that arises as the marginal of a
 Dirichlet(1, 1, a) vector (CDF ``1 - (1-x)^(a+1)`` on [0, 1]).
 
 Special functions (normal/t pdf, cdf, quantile) are delegated to scipy;
-the bivariate normal CDF (and the Student-t CDF at non-integer degrees of
-freedom) is evaluated with a fixed-order Gauss-Legendre reduction, the
-Student-t CDF at integer degrees of freedom with its finite closed-form
-series; both are deterministic and vectorized.
+the bivariate normal CDF is evaluated with a fixed-order Gauss-Legendre
+reduction, and the bivariate Student-t CDF, which takes whole degrees of
+freedom only, with its finite closed-form series; both are deterministic
+and vectorized.
 """
 
 from __future__ import annotations
@@ -283,7 +283,6 @@ def _fit_mixture(x: np.ndarray) -> FitReport:
 # bivariate elliptical CDFs
 
 _BVN_X, _BVN_W = np.polynomial.legendre.leggauss(96)
-_BVT_X, _BVT_W = np.polynomial.legendre.leggauss(128)
 # limits past this count as infinite: the series' arctan terms lose their
 # branch further out; the t tail mass beyond it is below 1e-14 for nu >= 1
 _BVT_BIG = 1e14
@@ -323,28 +322,21 @@ def bvt_cdf(rho: float, nu: float, x, y):
     """Bivariate Student-t CDF ``P(X <= x, Y <= y)`` with correlation rho and
     nu degrees of freedom.
 
-    Integer nu (every nu the package fits or simulates) uses the finite
-    series of Dunnett & Sobel (Biometrika 41, 1954) in the form of Genz's
-    ``bvtl`` (Stat. Comput. 14, 2004): floor(nu/2) terms, within 3e-15 of an
-    adaptive 1-D quadrature for nu in {1, 2, 3, 4, 6, 7, 30}.
+    nu must be a whole number >= 1, which covers every nu the package fits
+    (the copula grid 2..30) or simulates (6); any other nu raises
+    ``ValueError``. The finite series of Dunnett & Sobel (Biometrika 41,
+    1954) in the form of Genz's ``bvtl`` (Stat. Comput. 14, 2004) takes
+    floor(nu/2) terms and is within 3e-15 of an adaptive 1-D quadrature for
+    nu in {1, 2, 3, 4, 6, 7, 30}.
 
-    Other nu integrate the conditional t CDF (nu+1 degrees of freedom) over
-    the t-probability transform of x with a 128-node Gauss-Legendre rule,
-    clipped to the Frechet bounds ``[max(0, T_nu(x) + T_nu(y) - 1),
-    min(T_nu(x), T_nu(y))]``. Its absolute error is about 1e-8 near the
-    centre but reaches 3e-5 in the tails: -1.7e-5 at nu=2.5, rho=-0.9,
-    (20, 30), and -1.2e-5 at nu=2, rho=0.72, (1.7236, -100.29) when it
-    still served integer nu.
-
-    For every nu, infinite limits are exact: ``x = +inf`` gives
-    ``T_nu(y)``, ``y = +inf`` gives ``T_nu(x)``, and either limit at
-    ``-inf`` gives 0; a limit beyond ``+-1e14`` counts as infinite (the t
-    tail mass past it is below 1e-14).
+    Infinite limits are exact: ``x = +inf`` gives ``T_nu(y)``, ``y = +inf``
+    gives ``T_nu(x)``, and either limit at ``-inf`` gives 0; a limit beyond
+    ``+-1e14`` counts as infinite (the t tail mass past it is below 1e-14).
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("|rho| must be < 1")
-    if nu <= 0:
-        raise ValueError("nu must be positive")
+    if not (nu >= 1 and float(nu).is_integer()):
+        raise ValueError(f"nu must be a whole number >= 1, got {nu}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
@@ -352,13 +344,7 @@ def bvt_cdf(rho: float, nu: float, x, y):
     big_y = np.abs(y) > _BVT_BIG
     xf = np.where(big_x, 0.0, x)
     yf = np.where(big_y, 0.0, y)
-    if float(nu).is_integer():
-        out = _bvt_series(rho, int(nu), xf, yf)
-    else:
-        # the quadrature can leave the Frechet bounds in the tails
-        tx = stats.t.cdf(xf, nu)
-        ty = stats.t.cdf(yf, nu)
-        out = np.clip(_bvt_quadrature(rho, nu, xf, yf), np.maximum(0.0, tx + ty - 1.0), np.minimum(tx, ty))
+    out = _bvt_series(rho, int(nu), xf, yf)
     if big_x.any() or big_y.any():
         out = np.where(big_x & (x > 0), stats.t.cdf(y, nu), out)
         out = np.where(big_y & (y > 0), stats.t.cdf(x, nu), out)
@@ -422,17 +408,3 @@ def _bvt_series(rho: float, nu: int, x: np.ndarray, y: np.ndarray) -> np.ndarray
         gmpk = gmpk * ry * (2 * j) / (2 * j + 1)
     return bvt
 
-
-def _bvt_quadrature(rho: float, nu: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Conditional single-integral reduction with 128 Gauss-Legendre nodes."""
-    fx = stats.t.cdf(x, nu)
-    u = 0.5 * fx[..., None] * (_BVT_X + 1.0)
-    w = 0.5 * fx[..., None] * _BVT_W
-    s = stats.t.ppf(np.clip(u, 1e-300, 1.0), nu)
-    yy = y[..., None]
-    with np.errstate(invalid="ignore"):
-        arg = (yy - rho * s) * np.sqrt((nu + 1.0) / ((nu + s * s) * (1.0 - rho * rho)))
-    # s -> -inf limit of the conditional argument (finite y): sign(rho)*sqrt((nu+1)/(1-rho^2))
-    limit = np.sign(rho) * np.sqrt((nu + 1.0) / (1.0 - rho * rho)) if rho != 0.0 else 0.0
-    arg = np.where(np.isnan(arg), np.where(np.isinf(yy), yy, limit), arg)
-    return np.sum(w * stats.t.cdf(arg, nu + 1.0), axis=-1)

@@ -25,10 +25,9 @@ class HdrRegion:
     threshold: float
     orientation: Orientation
     alpha: float
-    measure_id: str = ""
 
 
-def estimate_hdr(scores: ScoreVector, alpha: float, measure_id: str = "") -> HdrRegion:
+def estimate_hdr(scores: ScoreVector, alpha: float) -> HdrRegion:
     """Threshold the score sample at its order statistic.
 
     The returned region keeps scores >= threshold (concentration) or
@@ -37,7 +36,7 @@ def estimate_hdr(scores: ScoreVector, alpha: float, measure_id: str = "") -> Hdr
     """
     rank = threshold_index(scores.n, alpha, scores.orientation)
     ordered = np.sort(scores.scores)
-    return HdrRegion(float(ordered[rank - 1]), scores.orientation, float(alpha), measure_id)
+    return HdrRegion(float(ordered[rank - 1]), scores.orientation, float(alpha))
 
 
 def classify(region: HdrRegion, scores) -> np.ndarray:
@@ -54,7 +53,7 @@ def density_quantile_hdr(density_values, alpha: float) -> HdrRegion:
     vals = np.asarray(density_values, dtype=float)
     if np.any(vals < 0):
         raise ValueError("density values must be nonnegative")
-    return estimate_hdr(ScoreVector(vals, Orientation.CONCENTRATION), alpha, "density")
+    return estimate_hdr(ScoreVector(vals, Orientation.CONCENTRATION), alpha)
 
 
 def measure_average(label_matrix) -> np.ndarray:

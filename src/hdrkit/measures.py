@@ -91,7 +91,6 @@ class MeasureSpec:
     kind: str
     k: int | None = None
     eps: float | None = None
-    copula_candidates: tuple | None = None
     marginal_families: tuple | None = None
     support_class: str = UNBOUNDED
 
@@ -106,10 +105,14 @@ class MeasureSpec:
             raise ValueError(f"{self.kind} does not take eps")
         if self.eps is not None and self.eps <= 0:
             raise ValueError("eps must be positive")
-        if self.k is not None and self.k < 1:
-            raise ValueError("k must be >= 1")
-        if (self.copula_candidates or self.marginal_families) and self.kind not in _MODEL_KINDS:
-            raise ValueError(f"{self.kind} takes no copula/marginal settings")
+        if self.k is not None:
+            if not float(self.k).is_integer():
+                raise ValueError(f"k must be a whole number, got {self.k}")
+            if self.k < 1:
+                raise ValueError("k must be >= 1")
+            object.__setattr__(self, "k", int(self.k))  # 2.0 means 2
+        if self.marginal_families and self.kind not in _MODEL_KINDS:
+            raise ValueError(f"{self.kind} takes no marginal families")
 
 
 def tuned_param(kind: str) -> str | None:
@@ -128,7 +131,7 @@ def build_spec(kind: str, k=None, eps=None, support_class: str = UNBOUNDED, marg
     param = tuned_param(kind)
     return MeasureSpec(
         kind,
-        k=int(k) if param == "k" and k is not None else None,
+        k=k if param == "k" else None,
         eps=float(eps) if param == "eps" and eps is not None else None,
         marginal_families=tuple(marginal_families) if kind in _PCOP_KINDS else None,
         support_class=support_class,
@@ -398,7 +401,6 @@ def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
     families = spec.marginal_families
     if families is None:
         raise ValueError(f"{spec.kind} requires marginal_families")
-    candidates = tuple(spec.copula_candidates or copulas.DEFAULT_CANDIDATES)
 
     def fit():
         fits = [dists.fit_marginal_mle(sample.column(j), families[j]) for j in range(2)]
@@ -408,12 +410,12 @@ def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
             dists.marginal_cdf(marginals[1], sample.column(1)),
         ])
         u = np.clip(u, _CDF_CLIP, 1.0 - _CDF_CLIP)
-        pseudo = copulas.PseudoObservations(u, "parametric_cdf")
-        model, _table = copulas.select_copula_aic(pseudo, candidates)
+        pseudo = copulas.PseudoObservations(u)
+        model, _table = copulas.select_copula_aic(pseudo)
         return model, marginals
 
     # m0-pcop and m3-pcop fitted to one sample share this fit
-    return sample.derived(("parametric", tuple(families), candidates), fit)
+    return sample.derived(("parametric", tuple(families)), fit)
 
 
 class FitError(RuntimeError):

@@ -145,6 +145,34 @@ class TestTune:
             rows = list(csv.DictReader(fh))
         assert [r["value"] for r in rows] == ["4", "5", "6"]
 
+    def test_one_replicate_call_per_replicate(self, monkeypatch):
+        calls = []
+        run = benchmark.run_replicate
+        # positional only: the traced benchmark reads (scenario, n, measure, replicate) from args[:4]
+        monkeypatch.setattr(benchmark, "run_replicate", lambda *a: calls.append(a[3]) or run(*a))
+        _, rows = run_tune("S2", 40, "m1", [2, 3, 5], **dict(FAST, workers=1))
+        assert len(rows) == 3
+        assert calls == list(range(FAST["reps"]))
+
+    @pytest.mark.parametrize("grid", ["inf", "nan", "1e400", "0.1,-inf"])
+    def test_cli_non_finite_grid_usage_error(self, tmp_path, capsys, grid):
+        code = main(["tune", "--scenario", "S2", "--n", "40", "--measure", "m3-ecdf", "--grid", grid,
+                     "--reps", "2", "--ref-size", "100000", "--workers", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "error: grid value" in capsys.readouterr().err
+
+    def test_cli_k_must_be_whole(self, tmp_path, capsys):
+        args = ["tune", "--scenario", "S2", "--n", "40", "--measure", "m1", "--reps", "3",
+                "--ref-size", "100000", "--workers", "1"]
+        assert main([*args, "--grid", "2.5,2", "--out", str(tmp_path / "a.csv")]) == 2
+        assert "error: k must be a whole number, got 2.5" in capsys.readouterr().err
+        assert not (tmp_path / "a.csv").exists()
+        assert main([*args, "--grid", "2.0,2", "--out", str(tmp_path / "b.csv")]) == 0
+        with open(tmp_path / "b.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r.pop("value") for r in rows] == ["2.0", "2"]
+        assert rows[0] == rows[1]
+
     def test_cli_worker_count_byte_identical(self, tmp_path):
         outs = []
         for workers in (1, 2):
@@ -153,6 +181,25 @@ class TestTune:
                          "--grid", "0.02,0.05,0.1", "--reps", "9", "--ref-size", "100000",
                          "--workers", str(workers), "--out", str(outs[-1])]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestReplicate:
+    @pytest.mark.parametrize("sid,measure,settings", [
+        ("S2", "m1", [(3, None), (9, None)]),
+        ("S17", "m3-pcop", [(None, 0.05), (None, 0.2)]),
+    ])
+    def test_settings_match_one_setting_calls(self, sid, measure, settings):
+        s = hk.scenario(sid)
+        oracle = hk.build_truth_oracle(s, 0.05, 10 ** 5, benchmark.oracle_rng(42, sid))
+        args = (s, 60, measure, 3, oracle, 42, 0.05)
+        together = benchmark.run_replicate(*args, settings)
+        apart = [rec for st in settings for rec in benchmark.run_replicate(*args, [st])]
+
+        def key(r):
+            return r.scenario, r.n, r.measure, r.replicate, r.row, r.hyperparams, r.fitted_copula_family
+
+        assert [key(r) for r in together] == [key(r) for r in apart]
+        assert together[0].row != together[1].row
 
 
 class TestApply:

@@ -8,7 +8,6 @@ from hdrkit.core import (
     Sample2D,
     ScoreVector,
     _k_smallest,
-    knn_indices,
     threshold_index,
 )
 from oracles import ecdf1, rect_count
@@ -84,46 +83,6 @@ class TestRectCount:
             small = rect_count(s, c - r1, c + r1)
             large = rect_count(s, c - r2, c + r2)
             assert large >= small
-
-
-class TestKnnIndices:
-    def test_basic_order(self):
-        s = Sample2D([(0, 0), (3, 0), (1, 0)])
-        assert list(knn_indices(s, (0, 0), 2)) == [0, 2]
-
-    def test_self_at_zero_distance(self):
-        s = Sample2D([(2, 3), (0, 0), (5, 5)])
-        idx = knn_indices(s, (0, 0), 1)
-        assert list(idx) == [1]
-
-    def test_tie_break_lower_index(self):
-        s = Sample2D([(1, 0), (-1, 0)])
-        assert list(knn_indices(s, (0, 0), 1)) == [0]
-
-    def test_k_out_of_range(self):
-        s = Sample2D([(0, 0)])
-        with pytest.raises(ValueError):
-            knn_indices(s, (0, 0), 2)
-
-    def test_permutation_prefix_property(self):
-        rng = np.random.default_rng(3)
-        s = Sample2D(rng.normal(size=(80, 2)))
-        for _ in range(20):
-            q = rng.normal(size=2)
-            k = int(rng.integers(1, 81))
-            idx = knn_indices(s, q, k)
-            assert len(set(idx.tolist())) == k
-            d = np.linalg.norm(s.points[idx] - q, axis=1)
-            assert np.all(np.diff(d) >= 0)
-
-    def test_matches_stable_argsort(self):
-        rng = np.random.default_rng(4)
-        pts = np.round(rng.normal(size=(200, 2)), 1)  # many exact distance ties
-        s = Sample2D(pts)
-        for q in pts[:40]:
-            dist = np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])
-            for k in (1, 3, 30, 200):
-                assert np.array_equal(knn_indices(s, q, k), np.argsort(dist, kind="stable")[:k])
 
 
 def _distance_rows(pts, queries):

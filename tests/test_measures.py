@@ -75,6 +75,15 @@ class TestSpecFilling:
         with pytest.raises(ValueError):
             M.MeasureSpec("m1", marginal_families=("normal", "normal"))
 
+    def test_k_must_be_whole(self):
+        for k in (2.5, np.inf, np.nan):
+            with pytest.raises(ValueError, match="whole number"):
+                M.MeasureSpec("m2", k=k)
+            with pytest.raises(ValueError, match="whole number"):
+                M.build_spec("m1", k=k)
+        spec = M.build_spec("m1", k=2.0)
+        assert spec == M.MeasureSpec("m1", k=2) and type(spec.k) is int
+
 
 class TestKdeScore:
     def test_single_kernel_center(self):
