@@ -173,6 +173,18 @@ def _summarize(rows):
     return {name: (v, float("nan")) for name, v in zip(METRIC_NAMES, rows[0].as_tuple())}
 
 
+def _check_specs(config: RunConfig, settings):
+    """Build every (scenario, measure, setting) spec and fill it for every
+    size, so that a bad override or size fails before any oracle is built."""
+    for sid in config.scenarios:
+        s = scen.scenario(sid)
+        for m in config.measures:
+            for k, eps in settings:
+                spec = measure_spec_for(s, m, k=k, eps=eps)
+                for n in config.ns:
+                    meas.fill_spec(spec, n)
+
+
 def _build_oracles(config: RunConfig) -> dict:
     oracles = {}
     for sid in config.scenarios:
@@ -189,8 +201,9 @@ def run_bench(config: RunConfig):
     list ordered by (scenario, n, measure, replicate) and summary maps
     (scenario, n, measure) to per-metric (mean, sd) pairs.
     """
-    oracles = _build_oracles(config)
     settings = [(config.k_override, config.eps_override)]
+    _check_specs(config, settings)
+    oracles = _build_oracles(config)
     tasks = [(sid, n, m, lo, hi, oracles[sid], config.seed, config.alpha, settings)
              for sid in config.scenarios for n in config.ns for m in config.measures
              for lo, hi in _batches(config.reps, config.workers)]
@@ -268,8 +281,7 @@ def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float 
     config = RunConfig(scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
                        ref_size=ref_size, workers=workers)
     sid = config.scenarios[0]  # canonical id
-    for k, eps in settings:  # a bad grid value fails before the oracle is built
-        measure_spec_for(scen.scenario(sid), measure, k=k, eps=eps)
+    _check_specs(config, settings)
     oracle = _build_oracles(config)[sid]
     tasks = [(sid, n, measure, lo, hi, oracle, seed, alpha, settings) for lo, hi in _batches(reps, workers)]
     per_rep = [recs for chunk in _map(_run_batch, tasks, workers) for recs in chunk]

@@ -15,6 +15,9 @@ Fitting is single-threaded; the returned state is immutable and its
 ``score`` method is pure, so one fitted measure can serve many workers.
 The query-by-sample passes walk ``core._row_blocks``; the sample's
 marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
+m3-ecdf scores the sample's own points from its in-sample Chebyshev
+distance matrix, memoised as ``Sample2D.derived(("chebyshev",), ...)``
+when it fits in one row block, so every eps fitted to one sample shares it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special, stats
 
-from . import copulas, distributions as dists
+from . import copulas, core, distributions as dists
 from .core import Orientation, Sample2D, ScoreVector, _k_smallest, _row_blocks
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "heuristic_eps",
     "tuned_param",
     "build_spec",
+    "fill_spec",
     "fit_measure",
     "m0_pcop_from_models",
     "m3_pcop_from_models",
@@ -271,20 +275,36 @@ class _KnnCdfState:
         return out
 
 
+def _chebyshev(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """max(|dx|, |dy|) from each query row to each sample point. A point is
+    in the eps-box of a query exactly when this is <= eps: abs and max are
+    exact in floating point, so the test matches |dx| <= eps & |dy| <= eps."""
+    dx = q[:, 0:1] - pts[:, 0]
+    dy = q[:, 1:2] - pts[:, 1]
+    # in place: two rows-by-n temporaries instead of three
+    return np.maximum(np.abs(dx, out=dx), np.abs(dy, out=dy), out=dx)
+
+
 class _EcdfRectState:
-    def __init__(self, pts: np.ndarray, eps: float):
-        self.pts = pts
+    def __init__(self, sample: Sample2D, eps: float):
+        self.sample = sample
         self.eps = eps
 
     def score(self, q: np.ndarray) -> np.ndarray:
-        n = self.pts.shape[0]
+        pts = self.sample.points
+        n = pts.shape[0]
         eps = self.eps
-        out = np.empty(q.shape[0])
-        for sl in _row_blocks(q.shape[0], n):
-            in_x = (np.abs(q[sl, 0:1] - self.pts[:, 0]) <= eps)
-            in_y = (np.abs(q[sl, 1:2] - self.pts[:, 1]) <= eps)
-            out[sl] = np.count_nonzero(in_x & in_y, axis=1)
-        return out / (n * 4.0 * eps * eps)
+        if q is pts and n * n <= core._BLOCK_BUDGET:
+            # in-sample scoring reuses one distance matrix for every eps fitted
+            # to this sample; it fits in a single row block, so it holds no
+            # more than one blocked pass allocates
+            d = self.sample.derived(("chebyshev",), lambda: _chebyshev(pts, pts))
+            counts = np.count_nonzero(d <= eps, axis=1)
+        else:
+            counts = np.empty(q.shape[0])
+            for sl in _row_blocks(q.shape[0], n):
+                counts[sl] = np.count_nonzero(_chebyshev(q[sl], pts) <= eps, axis=1)
+        return counts / (n * 4.0 * eps * eps)
 
 
 class _MarginalKde:
@@ -377,12 +397,19 @@ class _PCopRectState:
 # fitting
 
 
-def _fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
+def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
+    """``spec`` with unset hyperparameters filled from the heuristics for a
+    sample of ``n`` points. Raises ValueError when such a sample cannot fit
+    it: model-based kinds need n >= 20; k-based kinds need k <= n."""
     if spec.kind in _K_KINDS and spec.k is None:
         k = heuristic_k(n) if spec.kind == M1_KNN_EUCL else min(30, n)
         spec = replace(spec, k=k)
     if spec.kind in _EPS_KINDS and spec.eps is None:
         spec = replace(spec, eps=heuristic_eps(spec.kind, n, spec.support_class))
+    if spec.kind in _MODEL_KINDS and n < 20:
+        raise ValueError(f"{spec.kind} needs at least 20 points")
+    if spec.kind in _K_KINDS and spec.k > n:
+        raise ValueError(f"k={spec.k} exceeds sample size {n}")
     return spec
 
 
@@ -423,14 +450,10 @@ class FitError(RuntimeError):
 
 
 def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
-    """Fit one measure to a sample, filling unset hyperparameters from the
-    heuristics. Model-based kinds need n >= 20; k-based kinds need k <= n."""
+    """Fit one measure to a sample, its spec filled and checked by
+    ``fill_spec``."""
     n = sample.n
-    spec = _fill_spec(spec, n)
-    if spec.kind in _MODEL_KINDS and n < 20:
-        raise ValueError(f"{spec.kind} needs at least 20 points")
-    if spec.kind in _K_KINDS and spec.k > n:
-        raise ValueError(f"k={spec.k} exceeds sample size {n}")
+    spec = fill_spec(spec, n)
 
     try:
         if spec.kind == M0_KDE:
@@ -450,9 +473,7 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
             return FittedMeasure(spec, Orientation.CONCENTRATION, _KnnCdfState(sample.points, spec.k), {"k": spec.k})
 
         if spec.kind == M3_ECDF_RECT:
-            return FittedMeasure(
-                spec, Orientation.CONCENTRATION, _EcdfRectState(sample.points, spec.eps), {"eps": spec.eps}
-            )
+            return FittedMeasure(spec, Orientation.CONCENTRATION, _EcdfRectState(sample, spec.eps), {"eps": spec.eps})
 
         if spec.kind == M0_NPCOP:
             state = _NpCopDensityState(sample.points)

@@ -98,6 +98,25 @@ class TestBenchOutputs:
         assert "error: repeated" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["bench", "--scenarios", "S2,S17", "--n", "50", "--measures", "m3-ecdf", "--eps", "-1"],
+         "eps must be positive"),
+        (["bench", "--scenarios", "S2,S17", "--n", "100,50", "--measures", "m1,m2", "--k", "80"],
+         "k=80 exceeds sample size 50"),
+        (["tune", "--scenario", "S2", "--measure", "m1", "--n", "50", "--grid", "1:60"],
+         "k=51 exceeds sample size 50"),
+    ])
+    def test_bad_override_fails_before_any_oracle(self, tmp_path, capsys, monkeypatch, args, message):
+        builds = []
+        build = benchmark.scen.build_truth_oracle
+        monkeypatch.setattr(benchmark.scen, "build_truth_oracle", lambda *a: builds.append(a[0].id) or build(*a))
+        code = main([*args, "--reps", "2", "--ref-size", "100000", "--workers", "1",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert builds == []
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestTune:
     def test_single_value_equals_bench_aggregation(self):

@@ -7,7 +7,7 @@ from scipy import stats
 
 import hdrkit as hk
 from hdrkit import copulas as C, core, distributions as D, measures as M
-from hdrkit.benchmark import measure_spec_for, replicate_rng
+from hdrkit.benchmark import measure_spec_for, replicate_rng, run_tune
 from hdrkit.core import Orientation, Sample2D
 from oracles import ecdf1, rect_count
 
@@ -258,6 +258,51 @@ class TestSharedParametricFit:
         # other marginal families are a separate fit
         M.fit_measure(M.MeasureSpec("m0-pcop", marginal_families=("student_t", "normal")), samp)
         assert len(calls) == 3
+
+
+class TestEcdfRectMemo:
+    EPS = (0.02, 0.1, 0.35, 1.5)
+
+    @pytest.mark.parametrize("case", ["random", "rounded", "duplicated"])
+    def test_memo_bit_identical_to_blocked_pass(self, monkeypatch, case):
+        rng = np.random.default_rng(26)
+        pts = {
+            "random": rng.normal(size=(80, 2)),
+            # a 0.1 grid puts many pairs exactly on the box edge at eps = 0.1
+            "rounded": np.round(rng.uniform(0.0, 1.0, size=(80, 2)), 1),
+            "duplicated": np.repeat(rng.normal(size=(20, 2)), 4, axis=0),
+        }[case]
+        samp = Sample2D(pts)
+        fits = [M.fit_measure(M.MeasureSpec("m3-ecdf", eps=eps), samp) for eps in self.EPS]
+        memo = [f.score_vector(samp).scores for f in fits]
+        assert ("chebyshev",) in samp._derived
+        # a copy of the points is not the sample's own array: blocked pass
+        copied = [f.score(samp.points.copy()) for f in fits]
+        # the sample's own points, but too many for one block: blocked pass in blocks of 6 rows
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 500)
+        blocked = [f.score(samp.points) for f in fits]
+        for eps, a, b, c in zip(self.EPS, memo, copied, blocked):
+            assert np.array_equal(a, b), eps
+            assert np.array_equal(a, c), eps
+
+    def test_memo_not_stored_beyond_one_block(self, monkeypatch):
+        pts = np.random.default_rng(27).normal(size=(60, 2))
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 60 * 60 - 1)
+        samp = Sample2D(pts)
+        M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
+        assert ("chebyshev",) not in samp._derived
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 60 * 60)
+        M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
+        assert samp._derived[("chebyshev",)].shape == (60, 60)
+
+    def test_eps_grid_builds_matrix_once_per_replicate(self, monkeypatch):
+        calls = []
+        cheb = M._chebyshev
+        monkeypatch.setattr(M, "_chebyshev", lambda *a: calls.append(1) or cheb(*a))
+        _, rows = run_tune("S17", 60, "m3-ecdf", [0.02, 0.05, 0.1, 0.2], reps=5, seed=42, ref_size=10 ** 5,
+                           workers=1)
+        assert len(rows) == 4
+        assert len(calls) == 5
 
 
 class TestRectScores:
