@@ -318,14 +318,17 @@ def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None
     """Fit each requested measure on the points, estimate its HDR, and form
     the strict-majority consensus labels."""
     sample = Sample2D(points)
-    labels = {}
-    hps = {}
     for token in measure_tokens:
         if token not in meas.MEASURE_KINDS:
             raise ValueError(f"unknown measure {token!r}")
-        # external data carries no true family; normal marginals are the
-        # documented default (the nonparametric kinds need no such choice)
-        fitted = meas.fit_measure(meas.build_spec(token, k, eps, marginal_families=("normal", "normal")), sample)
+    # every spec is built, and a bad k or eps rejected, before any fit;
+    # external data carries no true family, so normal marginals are the
+    # documented default (the nonparametric kinds need no such choice)
+    specs = [meas.build_spec(token, k, eps, marginal_families=("normal", "normal")) for token in measure_tokens]
+    labels = {}
+    hps = {}
+    for token, spec in zip(measure_tokens, specs):
+        fitted = meas.fit_measure(spec, sample)
         scores = fitted.score_vector(sample)
         region = estimate_hdr(scores, alpha)
         labels[token] = classify(region, scores.scores)

@@ -518,6 +518,16 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
 
     The Gaussian product-kernel mixture integrates in closed form to
     differences of normal CDFs; boundary coordinates 0/1 map to -inf/+inf.
+
+    The u-side kernel row ``ndtr((ndtri(c) - z1) / h1)`` is evaluated once
+    per distinct bound ``c`` in each row block and shared by every query in
+    the block that has ``c`` as its u_lo or u_hi. Queries are visited in
+    (u_lo, u_hi) order, so a block holds neighbouring bounds. ECDF bounds
+    ``count/n`` repeat often (m3-npcop's in-sample bounds at n = 5000 take
+    about a third as many distinct values as there are bounds); arbitrary
+    bounds share nothing and cost what they did. Each entry is the same
+    expression on the same operands, and each query's row sums the same
+    values in the same order, so the result does not depend on the sharing.
     """
     u_lo = np.asarray(u_lo, dtype=float)
     u_hi = np.asarray(u_hi, dtype=float)
@@ -528,21 +538,31 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
     if np.any((u_lo < 0) | (u_hi > 1) | (v_lo < 0) | (v_hi > 1)):
         raise ValueError("interval outside [0, 1]")
     u_lo, u_hi, v_lo, v_hi = np.broadcast_arrays(u_lo, u_hi, v_lo, v_hi)
-    scalar = u_lo.ndim == 0
-
+    shape = u_lo.shape
+    u_lo, u_hi, v_lo, v_hi = (np.atleast_1d(a).ravel() for a in (u_lo, u_hi, v_lo, v_hi))
     with np.errstate(divide="ignore"):
-        s_lo = special.ndtri(np.atleast_1d(u_lo).ravel())
-        s_hi = special.ndtri(np.atleast_1d(u_hi).ravel())
-        t_lo = special.ndtri(np.atleast_1d(v_lo).ravel())
-        t_hi = special.ndtri(np.atleast_1d(v_hi).ravel())
+        s_lo, s_hi, t_lo, t_hi = (special.ndtri(a) for a in (u_lo, u_hi, v_lo, v_hi))
     z1 = fit.z[:, 0]
     z2 = fit.z[:, 1]
+    order = np.lexsort((u_hi, u_lo))
     out = np.empty(s_lo.size)
     for sl in _row_blocks(s_lo.size, 2 * fit.n):
-        du = special.ndtr((s_hi[sl, None] - z1) / fit.h1) - special.ndtr((s_lo[sl, None] - z1) / fit.h1)
-        dv = special.ndtr((t_hi[sl, None] - z2) / fit.h2) - special.ndtr((t_lo[sl, None] - z2) / fit.h2)
-        out[sl] = (du * dv).sum(axis=-1)
+        idx = order[sl]
+        c, inv = np.unique(np.concatenate((s_lo[idx], s_hi[idx])), return_inverse=True)
+        kern = c[:, None] - z1
+        kern /= fit.h1
+        special.ndtr(kern, out=kern)
+        du = kern[inv[idx.size :]]
+        du -= kern[inv[: idx.size]]
+        dv = t_hi[idx, None] - z2
+        dv /= fit.h2
+        special.ndtr(dv, out=dv)
+        lo = t_lo[idx, None] - z2
+        lo /= fit.h2
+        dv -= special.ndtr(lo, out=lo)
+        du *= dv
+        out[idx] = du.sum(axis=-1)
     out = np.clip(out / fit.n, 0.0, 1.0)
-    if scalar:
+    if not shape:
         return float(out[0])
-    return out.reshape(u_lo.shape)
+    return out.reshape(shape)

@@ -17,18 +17,18 @@ The query-by-sample passes walk ``core._row_blocks``; the sample's
 marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
 m3-ecdf scores the sample's own points from its in-sample Chebyshev
 distance matrix, memoised as ``Sample2D.derived(("chebyshev",), ...)``
-when it fits in one row block, so every eps fitted to one sample shares it.
+for n <= 2000, so every eps fitted to one sample shares it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special, stats
 
-from . import copulas, core, distributions as dists
+from . import copulas, distributions as dists
 from .core import Orientation, Sample2D, ScoreVector, _k_smallest, _row_blocks
 
 __all__ = [
@@ -85,6 +85,8 @@ _MODEL_KINDS = (M0_NPCOP, M0_PCOP, M3_NPCOP_RECT, M3_PCOP_RECT)
 _PCOP_KINDS = (M0_PCOP, M3_PCOP_RECT)
 
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
+# largest in-sample Chebyshev matrix m3-ecdf memoises (entries; n <= 2000)
+_CHEBYSHEV_MEMO_MAX = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,14 @@ class MeasureSpec:
             raise ValueError(f"{self.kind} does not take k")
         if self.eps is not None and self.kind not in _EPS_KINDS:
             raise ValueError(f"{self.kind} does not take eps")
-        if self.eps is not None and self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if self.eps is not None:
+            if not math.isfinite(self.eps):
+                raise ValueError(f"eps must be finite, got {self.eps}")
+            if self.eps <= 0:
+                raise ValueError("eps must be positive")
+            # the scores divide by the box area: a subnormal one overflows them
+            if not sys.float_info.min <= 4.0 * self.eps * self.eps < math.inf:
+                raise ValueError(f"eps={self.eps} is out of range: the box area 4*eps*eps underflows or overflows")
         if self.k is not None:
             if not float(self.k).is_integer():
                 raise ValueError(f"k must be a whole number, got {self.k}")
@@ -294,10 +302,9 @@ class _EcdfRectState:
         pts = self.sample.points
         n = pts.shape[0]
         eps = self.eps
-        if q is pts and n * n <= core._BLOCK_BUDGET:
+        if q is pts and n * n <= _CHEBYSHEV_MEMO_MAX:
             # in-sample scoring reuses one distance matrix for every eps fitted
-            # to this sample; it fits in a single row block, so it holds no
-            # more than one blocked pass allocates
+            # to this sample (a tune grid scores up to 31 of them)
             d = self.sample.derived(("chebyshev",), lambda: _chebyshev(pts, pts))
             counts = np.count_nonzero(d <= eps, axis=1)
         else:
@@ -510,8 +517,6 @@ def m0_pcop_from_models(copula_model, marginals) -> FittedMeasure:
 
 def m3_pcop_from_models(copula_model, marginals, eps: float) -> FittedMeasure:
     """Box-probability measure with exact (injected) models, no fitting."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     spec = MeasureSpec(M3_PCOP_RECT, eps=eps)
     state = _PCopRectState(copula_model, tuple(marginals), eps)
     return FittedMeasure(spec, Orientation.CONCENTRATION, state, {"eps": eps}, copula_model.family)

@@ -1,10 +1,12 @@
 """Brute-force reference implementations the measures are checked against.
 
-Each counts directly over the sample, with no sorting or blocking, so it
-shares no code path with the package's ECDF owner or pairwise kernel.
+Each works directly over the whole sample, with no sorting, blocking or
+shared kernel rows, so it shares no code path with the package's ECDF
+owner or pairwise kernels.
 """
 
 import numpy as np
+from scipy import special
 
 
 def ecdf1(column, t):
@@ -41,3 +43,20 @@ def rect_count(sample, lo, hi) -> int:
         & (pts[:, 1] <= hi[1])
     )
     return int(np.count_nonzero(inside))
+
+
+def npcop_rect_prob(fit, u_lo, u_hi, v_lo, v_hi):
+    """Transformation-KDE copula probability of [u_lo,u_hi]x[v_lo,v_hi],
+    four normal-CDF kernel evaluations per (query, sample point) pair over
+    the whole query-by-sample matrix; 0/1 bounds map to -inf/+inf."""
+    u_lo, u_hi, v_lo, v_hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (u_lo, u_hi, v_lo, v_hi)))
+    with np.errstate(divide="ignore"):
+        s_lo, s_hi, t_lo, t_hi = (special.ndtri(np.atleast_1d(a).ravel())[:, None] for a in (u_lo, u_hi, v_lo, v_hi))
+    z1 = fit.z[:, 0]
+    z2 = fit.z[:, 1]
+    du = special.ndtr((s_hi - z1) / fit.h1) - special.ndtr((s_lo - z1) / fit.h1)
+    dv = special.ndtr((t_hi - z2) / fit.h2) - special.ndtr((t_lo - z2) / fit.h2)
+    out = np.clip((du * dv).sum(axis=-1) / fit.n, 0.0, 1.0)
+    if u_lo.ndim == 0:
+        return float(out[0])
+    return out.reshape(u_lo.shape)

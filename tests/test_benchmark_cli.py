@@ -105,6 +105,12 @@ class TestBenchOutputs:
          "k=80 exceeds sample size 50"),
         (["tune", "--scenario", "S2", "--measure", "m1", "--n", "50", "--grid", "1:60"],
          "k=51 exceeds sample size 50"),
+        (["bench", "--scenarios", "S2,S17", "--n", "50", "--measures", "m1,m3-pcop", "--eps", "inf"],
+         "eps must be finite, got inf"),
+        (["bench", "--scenarios", "S2", "--n", "50", "--measures", "m3-ecdf", "--eps", "nan"],
+         "eps must be finite, got nan"),
+        (["bench", "--scenarios", "S2", "--n", "50", "--measures", "m3-npcop", "--eps", "1e-320"],
+         "eps=1e-320 is out of range"),
     ])
     def test_bad_override_fails_before_any_oracle(self, tmp_path, capsys, monkeypatch, args, message):
         builds = []
@@ -332,6 +338,26 @@ class TestApply:
         assert {r["m2"] for r in rows} <= {"0", "1"} and "1" in {r["m2"] for r in rows}
         assert main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m2", "--k", "30",
                      "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize("eps,message", [
+        ("inf", "eps must be finite, got inf"),
+        ("nan", "eps must be finite, got nan"),
+        ("1e-320", "eps=1e-320 is out of range"),
+        ("1e200", "eps=1e+200 is out of range"),
+    ])
+    def test_bad_eps_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch, eps, message):
+        fits = []
+        fit = benchmark.meas.fit_measure
+        monkeypatch.setattr(benchmark.meas, "fit_measure", lambda spec, sample: fits.append(spec) or fit(spec, sample))
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in np.random.default_rng(9).normal(size=(40, 2)).tolist()))
+        out = tmp_path / "o.csv"
+        code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m1,m3-ecdf,m3-npcop,m3-pcop",
+                     "--eps", eps, "--out", str(out)])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert fits == []
+        assert not out.exists()
 
     def test_svg_output(self, tmp_path):
         draws = tmp_path / "d.csv"

@@ -5,7 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from hdrkit import copulas as C
+from hdrkit import copulas as C, core, measures as M
+from hdrkit.core import Sample2D
+from oracles import ecdf1, npcop_rect_prob as oracle_rect_prob
 
 RHO = math.sin(math.pi / 4.0)
 
@@ -300,3 +302,56 @@ class TestNpCopula:
             U, V = np.meshgrid(uu, vv, indexing="ij")
             quad = float(np.sum(np.outer(wu, wv) * C.npcop_pdf(fit, U, V)))
             assert abs(quad - C.npcop_rect_prob(fit, a1, b1, a2, b2)) < 1e-4
+
+
+class TestNpRectSharedRows:
+    """npcop_rect_prob shares one u-side kernel row per distinct bound in a
+    row block; it must stay bit-identical to the four-ndtr formula."""
+
+    @staticmethod
+    def _in_sample_bounds(n=120, eps=0.6):
+        # m3-npcop's bounds: plain ECDF values count/n of the sample's own
+        # points -/+ eps, with repeated points and a wide eps so 0 and 1 occur
+        rng = np.random.default_rng(40)
+        pts = np.vstack([rng.normal(size=(n - 20, 2)), np.repeat(rng.normal(size=(5, 2)), 4, axis=0)])
+        fit = C.npcop_fit(C.pseudo_observations(pts))
+        lo = np.column_stack([ecdf1(pts[:, j], pts[:, j] - eps) for j in range(2)])
+        hi = np.column_stack([ecdf1(pts[:, j], pts[:, j] + eps) for j in range(2)])
+        return fit, (lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+
+    def test_random_bounds(self):
+        u = C.copula_sample(C.clayton(2.0), 150, np.random.default_rng(41))
+        fit = C.npcop_fit(u)
+        b = np.sort(np.random.default_rng(42).uniform(0.0, 1.0, size=(4, 90, 2)), axis=2)
+        args = (b[0, :, 0], b[0, :, 1], b[1, :, 0], b[1, :, 1])
+        assert np.array_equal(C.npcop_rect_prob(fit, *args), oracle_rect_prob(fit, *args))
+        # a 2-D batch keeps its shape
+        args2 = tuple(a.reshape(9, 10) for a in args)
+        got = C.npcop_rect_prob(fit, *args2)
+        assert got.shape == (9, 10) and np.array_equal(got, oracle_rect_prob(fit, *args2))
+
+    def test_scalar_call(self):
+        u = C.copula_sample(C.gaussian(0.5), 60, np.random.default_rng(43))
+        fit = C.npcop_fit(u)
+        got = C.npcop_rect_prob(fit, 0.2, 0.55, 0.1, 0.7)
+        assert isinstance(got, float) and got == oracle_rect_prob(fit, 0.2, 0.55, 0.1, 0.7)
+
+    @pytest.mark.parametrize("budget", [1, 240 * 7, 10 ** 9], ids=["one-row", "remainder", "one-block"])
+    def test_in_sample_bounds(self, monkeypatch, budget):
+        # width 2n = 240: 1-row blocks, blocks of 7 rows (17 and a remainder
+        # of 1), and all 120 queries in one block
+        fit, b = self._in_sample_bounds()
+        assert np.any(b[0] == 0.0) and np.any(b[1] == 1.0) and np.any(b[2] == 0.0) and np.any(b[3] == 1.0)
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", budget)
+        assert np.array_equal(C.npcop_rect_prob(fit, *b), oracle_rect_prob(fit, *b))
+
+    def test_in_sample_call_shares_kernel_rows(self, monkeypatch):
+        n = 400
+        pts = np.random.default_rng(44).normal(size=(n, 2))
+        f = M.fit_measure(M.MeasureSpec("m3-npcop"), Sample2D(pts))
+        entries = []
+        ndtr = C.special.ndtr
+        monkeypatch.setattr(C.special, "ndtr", lambda x, *a, **kw: entries.append(np.size(x)) or ndtr(x, *a, **kw))
+        f.score(pts)
+        # the four-ndtr formula evaluates 4 n^2 entries
+        assert sum(entries) < 0.8 * 4 * n * n

@@ -75,6 +75,27 @@ class TestSpecFilling:
         with pytest.raises(ValueError):
             M.MeasureSpec("m1", marginal_families=("normal", "normal"))
 
+    @pytest.mark.parametrize("eps,message", [
+        (np.inf, "must be finite"), (-np.inf, "must be finite"), (np.nan, "must be finite"),
+        (0.0, "must be positive"), (-0.1, "must be positive"),
+        (1e-320, "out of range"), (1e-155, "out of range"), (1e154, "out of range"),
+    ])
+    def test_eps_must_give_a_positive_finite_box_area(self, eps, message):
+        for kind in ("m3-ecdf", "m3-npcop", "m3-pcop"):
+            with pytest.raises(ValueError, match=message):
+                M.MeasureSpec(kind, eps=eps)
+            with pytest.raises(ValueError, match=message):
+                M.build_spec(kind, eps=eps, marginal_families=("normal", "normal"))
+        with pytest.raises(ValueError, match=message):
+            M.m3_pcop_from_models(C.gaussian(0.5), (D.normal(0.0, 1.0), D.normal(0.0, 1.0)), eps)
+        # the box area of these is a normal, finite float, and so are the scores
+        for eps in (1e-154, 1e153):
+            assert M.MeasureSpec("m3-ecdf", eps=eps).eps == eps
+        samp = Sample2D(np.random.default_rng(2).normal(size=(30, 2)))
+        for kind in ("m3-ecdf", "m3-npcop"):
+            for eps in (1e-154, 1e153):
+                M.fit_measure(M.MeasureSpec(kind, eps=eps), samp).score_vector(samp)
+
     def test_k_must_be_whole(self):
         for k in (2.5, np.inf, np.nan):
             with pytest.raises(ValueError, match="whole number"):
@@ -278,7 +299,8 @@ class TestEcdfRectMemo:
         assert ("chebyshev",) in samp._derived
         # a copy of the points is not the sample's own array: blocked pass
         copied = [f.score(samp.points.copy()) for f in fits]
-        # the sample's own points, but too many for one block: blocked pass in blocks of 6 rows
+        # the sample's own points, but too many to memoise: blocked pass in blocks of 6 rows
+        monkeypatch.setattr(M, "_CHEBYSHEV_MEMO_MAX", 80 * 80 - 1)
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 500)
         blocked = [f.score(samp.points) for f in fits]
         for eps, a, b, c in zip(self.EPS, memo, copied, blocked):
@@ -286,14 +308,25 @@ class TestEcdfRectMemo:
             assert np.array_equal(a, c), eps
 
     def test_memo_not_stored_beyond_one_block(self, monkeypatch):
+        # the memo cap, not the row-block budget, decides
         pts = np.random.default_rng(27).normal(size=(60, 2))
-        monkeypatch.setattr(core, "_BLOCK_BUDGET", 60 * 60 - 1)
+        monkeypatch.setattr(M, "_CHEBYSHEV_MEMO_MAX", 60 * 60 - 1)
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 10 ** 9)
         samp = Sample2D(pts)
         M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
         assert ("chebyshev",) not in samp._derived
-        monkeypatch.setattr(core, "_BLOCK_BUDGET", 60 * 60)
+        monkeypatch.setattr(M, "_CHEBYSHEV_MEMO_MAX", 60 * 60)
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 1)
         M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
         assert samp._derived[("chebyshev",)].shape == (60, 60)
+
+    def test_memo_stored_at_n500_with_default_budget(self):
+        # tune-c06 scores its eps grid on n = 500 samples; 500^2 entries
+        # exceed one row block but not the memo cap
+        samp = Sample2D(np.random.default_rng(28).normal(size=(500, 2)))
+        assert 500 * 500 > core._BLOCK_BUDGET
+        M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
+        assert samp._derived[("chebyshev",)].shape == (500, 500)
 
     def test_eps_grid_builds_matrix_once_per_replicate(self, monkeypatch):
         calls = []
