@@ -9,14 +9,16 @@ count, and reruns are byte-identical.
 A replicate draws its sample and labels the sample's truth once, then
 evaluates each ``(k, eps)`` setting it is given on that sample (fit,
 score, threshold, classify, metrics). Neither the truth oracle nor the
-replicate stream depends on a hyperparameter, so ``run_tune`` builds the
-oracle once and hands every replicate its whole grid, while ``run_bench``
-hands each replicate the run's one setting.
+replicate stream depends on a hyperparameter, so both commands run through
+one grid runner, ``_run_grid``, which builds each oracle once: ``run_tune``
+hands every replicate its whole grid, and ``run_bench`` hands each
+replicate the run's one setting.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -111,11 +113,13 @@ def measure_spec_for(s: scen.Scenario, measure: str, k=None, eps=None) -> meas.M
     return meas.build_spec(measure, k, eps, support, (s.marginals[0].family, s.marginals[1].family))
 
 
-def _fmt_hyper(hp: dict) -> str:
-    def one(v):
-        return str(v) if isinstance(v, (int, np.integer)) else fmt_float(v)
+def _fmt_value(v) -> str:
+    """A hyperparameter value: integers as written, floats by ``fmt_float``."""
+    return str(v) if isinstance(v, (int, np.integer)) else fmt_float(v)
 
-    return ";".join(f"{k}={one(v)}" for k, v in sorted(hp.items()))
+
+def _fmt_hyper(hp: dict) -> str:
+    return ";".join(f"{k}={_fmt_value(v)}" for k, v in sorted(hp.items()))
 
 
 def fmt_float(x) -> str:
@@ -173,25 +177,29 @@ def _summarize(rows):
     return {name: (v, float("nan")) for name, v in zip(METRIC_NAMES, rows[0].as_tuple())}
 
 
-def _check_specs(config: RunConfig, settings):
-    """Build every (scenario, measure, setting) spec and fill it for every
-    size, so that a bad override or size fails before any oracle is built."""
-    for sid in config.scenarios:
-        s = scen.scenario(sid)
-        for m in config.measures:
-            for k, eps in settings:
-                spec = measure_spec_for(s, m, k=k, eps=eps)
-                for n in config.ns:
-                    meas.fill_spec(spec, n)
+def _run_grid(config: RunConfig, settings) -> list:
+    """Per-replicate record lists in (scenario, n, measure, replicate)
+    order, each holding one record per ``(k, eps)`` in ``settings``.
 
-
-def _build_oracles(config: RunConfig) -> dict:
+    Every (scenario, measure, setting) spec is built and filled for every
+    size first, so that a bad override or size fails before any truth
+    oracle is built. Each scenario's oracle is then built once. The order
+    needs no sort: the tasks are listed in it, ``_map`` keeps task order,
+    and each batch returns its replicates in order.
+    """
+    scens = [scen.scenario(sid) for sid in config.scenarios]
+    for s, m, (k, eps) in itertools.product(scens, config.measures, settings):
+        spec = measure_spec_for(s, m, k=k, eps=eps)
+        for n in config.ns:
+            meas.fill_spec(spec, n)
     oracles = {}
-    for sid in config.scenarios:
-        s = scen.scenario(sid)
-        oracles[sid] = scen.build_truth_oracle(s, config.alpha, config.ref_size, oracle_rng(config.seed, sid))
-        log.info("truth oracle %s: f_alpha=%.6g (ref_size=%d)", sid, oracles[sid].f_alpha, config.ref_size)
-    return oracles
+    for s in scens:
+        oracles[s.id] = scen.build_truth_oracle(s, config.alpha, config.ref_size, oracle_rng(config.seed, s.id))
+        log.info("truth oracle %s: f_alpha=%.6g (ref_size=%d)", s.id, oracles[s.id].f_alpha, config.ref_size)
+    tasks = [(s.id, n, m, lo, hi, oracles[s.id], config.seed, config.alpha, settings)
+             for s in scens for n in config.ns for m in config.measures
+             for lo, hi in _batches(config.reps, config.workers)]
+    return [recs for chunk in _map(_run_batch, tasks, config.workers) for recs in chunk]
 
 
 def run_bench(config: RunConfig):
@@ -201,18 +209,7 @@ def run_bench(config: RunConfig):
     list ordered by (scenario, n, measure, replicate) and summary maps
     (scenario, n, measure) to per-metric (mean, sd) pairs.
     """
-    settings = [(config.k_override, config.eps_override)]
-    _check_specs(config, settings)
-    oracles = _build_oracles(config)
-    tasks = [(sid, n, m, lo, hi, oracles[sid], config.seed, config.alpha, settings)
-             for sid in config.scenarios for n in config.ns for m in config.measures
-             for lo, hi in _batches(config.reps, config.workers)]
-    records = [rec for chunk in _map(_run_batch, tasks, config.workers) for recs in chunk for rec in recs]
-    sid_order = {sid: i for i, sid in enumerate(config.scenarios)}
-    n_order = {n: i for i, n in enumerate(config.ns)}
-    m_order = {m: i for i, m in enumerate(config.measures)}
-    records.sort(key=lambda r: (sid_order[r.scenario], n_order[r.n], m_order[r.measure], r.replicate))
-
+    records = [rec for (rec,) in _run_grid(config, [(config.k_override, config.eps_override)])]
     cells = {}
     for r in records:
         cells.setdefault((r.scenario, r.n, r.measure), []).append(MetricsRow(*r.row))
@@ -220,41 +217,38 @@ def run_bench(config: RunConfig):
     return records, summary
 
 
-def write_results_csv(path, records, timing: bool = False):
-    cols = ["scenario", "n", "measure", "replicate", *METRIC_NAMES, "hyperparams_used", "fitted_copula_family"]
-    if timing:
-        cols.append("wall_time_ms")
-    lines = [",".join(cols)]
-    for r in records:
-        vals = [r.scenario, str(r.n), r.measure, str(r.replicate)]
-        vals += [fmt_float(v) for v in r.row]
-        vals += [r.hyperparams, r.fitted_copula_family]
-        if timing:
-            vals.append(fmt_float(r.wall_time_ms))
-        lines.append(",".join(vals))
-    _write_text(path, lines)
-
-
-def write_summary_csv(path, config: RunConfig, summary):
-    cols = ["scenario", "n", "measure", "reps"]
-    for name in METRIC_NAMES:
-        cols += [f"{name}_mean", f"{name}_sd"]
-    lines = [",".join(cols)]
-    for sid in config.scenarios:
-        for n in config.ns:
-            for m in config.measures:
-                cell = summary[(sid, n, m)]
-                vals = [sid, str(n), m, str(config.reps)]
-                for name in METRIC_NAMES:
-                    mean, sd = cell[name]
-                    vals += [fmt_float(mean), fmt_float(sd)]
-                lines.append(",".join(vals))
-    _write_text(path, lines)
+def _write_csv(path, header, rows):
+    """One header line, then one line per row of already formatted cells."""
+    _write_text(path, [",".join(header), *(",".join(row) for row in rows)])
 
 
 def _write_text(path, lines):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_results_csv(path, records, timing: bool = False):
+    cols = ["scenario", "n", "measure", "replicate", *METRIC_NAMES, "hyperparams_used", "fitted_copula_family"]
+    if timing:
+        cols.append("wall_time_ms")
+    rows = []
+    for r in records:
+        vals = [r.scenario, str(r.n), r.measure, str(r.replicate), *map(fmt_float, r.row),
+                r.hyperparams, r.fitted_copula_family]
+        if timing:
+            vals.append(fmt_float(r.wall_time_ms))
+        rows.append(vals)
+    _write_csv(path, cols, rows)
+
+
+def write_summary_csv(path, config: RunConfig, summary):
+    cols = ["scenario", "n", "measure", "reps"]
+    cols += [f"{name}_{stat}" for name in METRIC_NAMES for stat in ("mean", "sd")]
+    rows = []
+    for sid, n, m in itertools.product(config.scenarios, config.ns, config.measures):
+        cell = summary[(sid, n, m)]
+        rows.append([sid, str(n), m, str(config.reps), *(fmt_float(v) for name in METRIC_NAMES for v in cell[name])])
+    _write_csv(path, cols, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +265,15 @@ def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float 
     threshold, classify and metrics run per value. Each value's mean equals
     ``run_bench`` with that value as its override.
     """
+    config = RunConfig(scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
+                       ref_size=ref_size, workers=workers)
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
     param = meas.tuned_param(measure)
     if param is None:
         raise ValueError(f"measure {measure} has no tunable hyperparameter")
-    settings = [(g, None) if param == "k" else (None, g) for g in grid]
-    config = RunConfig(scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
-                       ref_size=ref_size, workers=workers)
-    sid = config.scenarios[0]  # canonical id
-    _check_specs(config, settings)
-    oracle = _build_oracles(config)[sid]
-    tasks = [(sid, n, measure, lo, hi, oracle, seed, alpha, settings) for lo, hi in _batches(reps, workers)]
-    per_rep = [recs for chunk in _map(_run_batch, tasks, workers) for recs in chunk]
+    per_rep = _run_grid(config, [(g, None) if param == "k" else (None, g) for g in grid])
     return param, [
         (g, {name: mean for name, (mean, _sd) in
              _summarize([MetricsRow(*recs[i].row) for recs in per_rep]).items()})
@@ -294,13 +283,10 @@ def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float 
 
 def write_tune_csv(path, sid, n, measure, param, rows, reps):
     cols = ["scenario", "n", "measure", "param", "value", "reps"] + [f"{m}_mean" for m in METRIC_NAMES]
-    lines = [",".join(cols)]
-    for g, cell in rows:
-        gtxt = str(g) if isinstance(g, (int, np.integer)) else fmt_float(g)
-        vals = [sid, str(n), measure, param, gtxt, str(reps)]
-        vals += [fmt_float(cell[name]) for name in METRIC_NAMES]
-        lines.append(",".join(vals))
-    _write_text(path, lines)
+    _write_csv(path, cols, (
+        [sid, str(n), measure, param, _fmt_value(g), str(reps), *(fmt_float(cell[name]) for name in METRIC_NAMES)]
+        for g, cell in rows
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +304,6 @@ def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None
     """Fit each requested measure on the points, estimate its HDR, and form
     the strict-majority consensus labels."""
     sample = Sample2D(points)
-    for token in measure_tokens:
-        if token not in meas.MEASURE_KINDS:
-            raise ValueError(f"unknown measure {token!r}")
     # every spec is built, and a bad k or eps rejected, before any fit;
     # external data carries no true family, so normal marginals are the
     # documented default (the nonparametric kinds need no such choice)

@@ -21,6 +21,7 @@ import numpy as np
 from . import measures as meas
 from .benchmark import (
     RunConfig,
+    _write_csv,
     _write_text,
     apply_measures,
     fmt_float,
@@ -89,11 +90,6 @@ def _default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    p.add_argument("--alpha", type=float, default=0.05, help="1 - coverage level (default 0.05)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hdrkit", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -111,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--eps", type=float, default=None, help="override eps for the box measures")
     b.add_argument("--timing", action="store_true",
                    help="add a wall_time_ms column (breaks byte-identical reruns)")
-    _add_common(b)
 
     t = sub.add_parser("tune", help="mean metrics per hyperparameter grid value")
     t.add_argument("--scenario", required=True)
@@ -122,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True)
     t.add_argument("--workers", type=int, default=None)
     t.add_argument("--ref-size", type=int, default=10 ** 6)
-    _add_common(t)
 
     a = sub.add_parser("apply", help="label an external CSV with per-measure and consensus HDRs")
     a.add_argument("--input", required=True)
@@ -134,13 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--eps", type=float, default=None)
     a.add_argument("--out", required=True, help="labeled CSV")
     a.add_argument("--svg", help="optional scatter SVG colored by the consensus")
-    _add_common(a)
 
     s = sub.add_parser("simulate", help="write scenario draws plus their true density")
     s.add_argument("--scenario", required=True)
     s.add_argument("--n", type=int, required=True)
-    s.add_argument("--seed", type=int, default=42)
     s.add_argument("--out", required=True)
+
+    # apply is deterministic and draws nothing, so it takes no seed
+    for p in (b, t, s):
+        p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+    for p in (b, t, a):
+        p.add_argument("--alpha", type=float, default=0.05, help="1 - coverage level (default 0.05)")
     return ap
 
 
@@ -230,14 +228,10 @@ def _cmd_apply(args) -> int:
         log.info("%s: inside fraction %.4f (%s)", t, float(np.mean(result.labels[t])), result.hyperparams[t])
     log.info("consensus: inside fraction %.4f", float(np.mean(result.consensus)))
 
-    cols = [args.x, args.y, *tokens, "consensus"]
-    lines = [",".join(cols)]
-    for i in range(raw.shape[0]):
-        vals = [fmt_float(raw[i, 0]), fmt_float(raw[i, 1])]
-        vals += ["1" if result.labels[t][i] else "0" for t in tokens]
-        vals.append("1" if result.consensus[i] else "0")
-        lines.append(",".join(vals))
-    _write_text(args.out, lines)
+    labels = [result.labels[t] for t in tokens] + [result.consensus]
+    _write_csv(args.out, [args.x, args.y, *tokens, "consensus"], (
+        [fmt_float(x), fmt_float(y), *("1" if lab[i] else "0" for lab in labels)] for i, (x, y) in enumerate(raw)
+    ))
     log.info("wrote labels to %s", args.out)
 
     if args.svg:
@@ -248,10 +242,8 @@ def _cmd_apply(args) -> int:
 
 def _cmd_simulate(args) -> int:
     sample, dens = simulate_scenario(args.scenario.upper(), args.n, args.seed)
-    lines = ["x1,x2,true_density"]
-    for (x1, x2), d in zip(sample.points, dens):
-        lines.append(f"{fmt_float(x1)},{fmt_float(x2)},{fmt_float(d)}")
-    _write_text(args.out, lines)
+    _write_csv(args.out, ["x1", "x2", "true_density"],
+               ([fmt_float(x1), fmt_float(x2), fmt_float(d)] for (x1, x2), d in zip(sample.points, dens)))
     log.info("wrote %d draws to %s", sample.n, args.out)
     return 0
 

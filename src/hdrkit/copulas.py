@@ -172,7 +172,7 @@ def copula_cdf(c: CopulaModel, u, v):
     exactly for every family."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > 1):
+    if not (np.all((0 <= u) & (u <= 1)) and np.all((0 <= v) & (v <= 1))):
         raise ValueError("u, v must lie in [0, 1]")
     u, v = np.broadcast_arrays(u, v)
 
@@ -210,7 +210,7 @@ def copula_pdf(c: CopulaModel, u, v):
     """Copula density c(u, v) at strictly interior points."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1) or np.any(v <= 0) or np.any(v >= 1):
+    if not (np.all((0 < u) & (u < 1)) and np.all((0 < v) & (v < 1))):
         raise ValueError("copula density at boundary")
     u, v = np.broadcast_arrays(u, v)
 
@@ -275,7 +275,7 @@ class PseudoObservations:
         arr = np.asarray(self.u, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pseudo-observations must be (n, 2)")
-        if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+        if not np.all((0.0 < arr) & (arr < 1.0)):
             raise ValueError("pseudo-observations must be strictly inside (0, 1)")
         object.__setattr__(self, "u", arr)
 
@@ -490,7 +490,7 @@ def npcop_pdf(fit: NpCopulaFit, u, v):
     """Transformation-KDE copula density at interior points (u, v)."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if np.any(u <= 0) or np.any(u >= 1) or np.any(v <= 0) or np.any(v >= 1):
+    if not (np.all((0 < u) & (u < 1)) and np.all((0 < v) & (v < 1))):
         raise ValueError("copula density at boundary")
     u, v = np.broadcast_arrays(u, v)
     scalar = u.ndim == 0
@@ -533,10 +533,10 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
     u_hi = np.asarray(u_hi, dtype=float)
     v_lo = np.asarray(v_lo, dtype=float)
     v_hi = np.asarray(v_hi, dtype=float)
-    if np.any(u_lo > u_hi) or np.any(v_lo > v_hi):
-        raise ValueError("inverted interval")
-    if np.any((u_lo < 0) | (u_hi > 1) | (v_lo < 0) | (v_hi > 1)):
+    if not np.all((0 <= u_lo) & (u_hi <= 1) & (0 <= v_lo) & (v_hi <= 1)):
         raise ValueError("interval outside [0, 1]")
+    if not np.all((u_lo <= u_hi) & (v_lo <= v_hi)):
+        raise ValueError("inverted interval")
     u_lo, u_hi, v_lo, v_hi = np.broadcast_arrays(u_lo, u_hi, v_lo, v_hi)
     shape = u_lo.shape
     u_lo, u_hi, v_lo, v_hi = (np.atleast_1d(a).ravel() for a in (u_lo, u_hi, v_lo, v_hi))

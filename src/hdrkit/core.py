@@ -69,8 +69,10 @@ class Sample2D:
     def derived(self, key, compute):
         """``compute()``, evaluated once per ``key`` for this sample; for
         results that are a pure function of the points: the parametric fit
-        that m0-pcop and m3-pcop share (key ``("parametric", families)``)
-        and m3-ecdf's in-sample Chebyshev distance matrix (``("chebyshev",)``)."""
+        that m0-pcop and m3-pcop share (key ``("parametric", families)``),
+        the ECDF and copula fit that m0-npcop and m3-npcop share
+        (``("npcop",)``) and m3-ecdf's in-sample Chebyshev distance matrix
+        (``("chebyshev",)``)."""
         if key not in self._derived:
             self._derived[key] = compute()
         return self._derived[key]

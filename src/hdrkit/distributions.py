@@ -137,7 +137,7 @@ def marginal_cdf(m: MarginalModel, x):
 def marginal_quantile(m: MarginalModel, p):
     """Inverse CDF of ``m`` at probability ``p`` in (0, 1)."""
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
+    if not np.all((0.0 < p) & (p < 1.0)):
         raise ValueError("quantile at boundary")
     if m.family == NORMAL:
         out = m.mu + m.sigma * special.ndtri(p)

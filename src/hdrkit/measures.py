@@ -15,6 +15,9 @@ Fitting is single-threaded; the returned state is immutable and its
 ``score`` method is pure, so one fitted measure can serve many workers.
 The query-by-sample passes walk ``core._row_blocks``; the sample's
 marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
+m0-npcop and m3-npcop fitted to one sample share one ECDF and one copula
+fit (``Sample2D.derived(("npcop",), ...)``), as m0-pcop and m3-pcop share
+their parametric fit.
 m3-ecdf scores the sample's own points from its in-sample Chebyshev
 distance matrix, memoised as ``Sample2D.derived(("chebyshev",), ...)``
 for n <= 2000, so every eps fitted to one sample shares it.
@@ -333,11 +336,18 @@ class _MarginalKde:
         return out / (n * self.h * math.sqrt(2.0 * math.pi))
 
 
+def _fit_npcop(sample: Sample2D):
+    """The sample's marginal ECDF and transformation-KDE copula fit, which
+    m0-npcop and m3-npcop fitted to one sample share."""
+    pts = sample.points
+    return sample.derived(("npcop",), lambda: (_MarginalEcdf(pts), copulas.npcop_fit(copulas.pseudo_observations(pts))))
+
+
 class _NpCopDensityState:
-    def __init__(self, pts: np.ndarray):
-        self.ecdf = _MarginalEcdf(pts)
+    def __init__(self, sample: Sample2D):
+        pts = sample.points
         self.marg = (_MarginalKde(pts[:, 0]), _MarginalKde(pts[:, 1]))
-        self.copfit = copulas.npcop_fit(copulas.pseudo_observations(pts))
+        self.ecdf, self.copfit = _fit_npcop(sample)
 
     def score(self, q: np.ndarray) -> np.ndarray:
         # pseudo-coordinates n/(n+1) * F_n, clamped to [1/(n+1), n/(n+1)] so
@@ -350,9 +360,8 @@ class _NpCopDensityState:
 
 
 class _NpCopRectState:
-    def __init__(self, pts: np.ndarray, eps: float):
-        self.ecdf = _MarginalEcdf(pts)
-        self.copfit = copulas.npcop_fit(copulas.pseudo_observations(pts))
+    def __init__(self, sample: Sample2D, eps: float):
+        self.ecdf, self.copfit = _fit_npcop(sample)
         self.eps = eps
 
     def score(self, q: np.ndarray) -> np.ndarray:
@@ -483,12 +492,12 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
             return FittedMeasure(spec, Orientation.CONCENTRATION, _EcdfRectState(sample, spec.eps), {"eps": spec.eps})
 
         if spec.kind == M0_NPCOP:
-            state = _NpCopDensityState(sample.points)
+            state = _NpCopDensityState(sample)
             hp = {"h1": state.copfit.h1, "h2": state.copfit.h2, "hm1": state.marg[0].h, "hm2": state.marg[1].h}
             return FittedMeasure(spec, Orientation.CONCENTRATION, state, hp)
 
         if spec.kind == M3_NPCOP_RECT:
-            state = _NpCopRectState(sample.points, spec.eps)
+            state = _NpCopRectState(sample, spec.eps)
             hp = {"eps": spec.eps, "h1": state.copfit.h1, "h2": state.copfit.h2}
             return FittedMeasure(spec, Orientation.CONCENTRATION, state, hp)
 
@@ -504,8 +513,6 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
             return FittedMeasure(spec, Orientation.CONCENTRATION, state, hp, model.family)
     except Exception as exc:
         raise FitError(f"fitting measure {spec.kind} failed: {exc}") from exc
-
-    raise ValueError(f"unknown measure kind {spec.kind!r}")
 
 
 def m0_pcop_from_models(copula_model, marginals) -> FittedMeasure:

@@ -160,6 +160,12 @@ class TestTune:
         with pytest.raises(ValueError):
             run_tune("S2", 60, "m0-kde", [1, 2], **FAST)
 
+    def test_cli_unknown_measure_usage_error(self, tmp_path, capsys):
+        code = main(["tune", "--scenario", "S2", "--n", "40", "--measure", "m9", "--grid", "1:3",
+                     "--reps", "2", "--ref-size", "100000", "--workers", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert "error: unknown measure 'm9' (choose from m0-kde," in capsys.readouterr().err
+
     def test_cli_grid_syntax(self, tmp_path):
         out = tmp_path / "tune.csv"
         code = main(["tune", "--scenario", "S2", "--n", "60", "--measure", "m1",
@@ -358,6 +364,17 @@ class TestApply:
         assert f"error: {message}" in capsys.readouterr().err
         assert fits == []
         assert not out.exists()
+
+    def test_no_seed_option(self, tmp_path, capsys):
+        # apply draws nothing, so a seed would be a knob nothing reads
+        f = tmp_path / "in.csv"
+        f.write_text("a,b\n1,2\n3,4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m1", "--seed", "1",
+                  "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_svg_output(self, tmp_path):
         draws = tmp_path / "d.csv"

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
-from hdrkit import copulas as C, core, measures as M
+from hdrkit import copulas as C, core, distributions as D, measures as M
 from hdrkit.core import Sample2D
 from oracles import ecdf1, npcop_rect_prob as oracle_rect_prob
 
@@ -355,3 +355,24 @@ class TestNpRectSharedRows:
         f.score(pts)
         # the four-ndtr formula evaluates 4 n^2 entries
         assert sum(entries) < 0.8 * 4 * n * n
+
+
+def _npfit():
+    return C.npcop_fit(C.copula_sample(C.gaussian(0.5), 40, np.random.default_rng(45)))
+
+
+# a NaN compares False both ways, so a range check must fail it, not pass it
+_NAN = np.array([0.3, np.nan])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: C.copula_cdf(C.gaussian(0.5), _NAN, 0.5),
+    lambda: C.copula_pdf(C.clayton(2.0), 0.5, _NAN),
+    lambda: C.npcop_pdf(_npfit(), _NAN, 0.5),
+    lambda: C.npcop_rect_prob(_npfit(), 0.1, 0.9, 0.2, _NAN),
+    lambda: C.PseudoObservations(np.column_stack([_NAN, [0.2, 0.4]])),
+    lambda: D.marginal_quantile(D.normal(0.0, 1.0), _NAN),
+], ids=["copula_cdf", "copula_pdf", "npcop_pdf", "npcop_rect_prob", "PseudoObservations", "marginal_quantile"])
+def test_nan_coordinate_raises(call):
+    with pytest.raises(ValueError):
+        call()

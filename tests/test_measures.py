@@ -281,6 +281,23 @@ class TestSharedParametricFit:
         assert len(calls) == 3
 
 
+class TestSharedNpcopFit:
+    def test_npcop_kinds_fit_once_per_sample(self, monkeypatch):
+        calls = []
+        fit = M.copulas.npcop_fit
+        monkeypatch.setattr(M.copulas, "npcop_fit", lambda *a: calls.append(1) or fit(*a))
+        pts = np.random.default_rng(24).normal(size=(150, 2))
+        samp = Sample2D(pts)
+        shared = [M.fit_measure(M.MeasureSpec(kind), samp) for kind in ("m0-npcop", "m3-npcop")]
+        assert len(calls) == 1
+        # each kind alone on its own copy of the points scores the same bits
+        alone = [M.fit_measure(M.MeasureSpec(kind), Sample2D(pts.copy())) for kind in ("m0-npcop", "m3-npcop")]
+        assert len(calls) == 3
+        for a, b in zip(shared, alone):
+            assert a.hyperparams == b.hyperparams
+            assert np.array_equal(a.score(pts), b.score(pts))
+
+
 class TestEcdfRectMemo:
     EPS = (0.02, 0.1, 0.35, 1.5)
 
