@@ -64,6 +64,11 @@ def oracle_rng(seed: int, scenario_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: tuple
@@ -88,8 +93,7 @@ class RunConfig:
                 raise ValueError(f"unknown measure {m!r} (choose from {', '.join(meas.MEASURE_KINDS)})")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        _check_alpha(self.alpha)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -128,19 +132,19 @@ def fmt_float(x) -> str:
 
 
 def run_replicate(s: scen.Scenario, n: int, measure: str, replicate: int, oracle: scen.TruthOracle,
-                  seed: int, alpha: float, settings) -> list:
+                  seed: int, alpha: float, specs) -> list:
     """One replicate: draw and truth-label its sample once, then fit, score,
-    threshold, classify and compare with truth for each ``(k, eps)`` in
-    ``settings``. Returns one record per setting, in order; a record's wall
-    time covers the draw plus its own evaluation."""
+    threshold, classify and compare with truth for each filled spec in
+    ``specs``. Returns one record per spec, in order; a record's wall time
+    covers the draw plus its own evaluation."""
     t0 = time.perf_counter()
     sample = scen.sample_scenario(s, n, replicate_rng(seed, s.id, n, measure, replicate))
     truth = scen.label_truth(oracle, s, sample.points)
     draw_s = time.perf_counter() - t0
     records = []
-    for k, eps in settings:
+    for spec in specs:
         t0 = time.perf_counter()
-        fitted = meas.fit_measure(measure_spec_for(s, measure, k=k, eps=eps), sample)
+        fitted = meas.fit_measure(spec, sample)
         scores = fitted.score_vector(sample)
         row = metrics(confusion(classify(estimate_hdr(scores, alpha), scores.scores), truth))
         ms = (draw_s + time.perf_counter() - t0) * 1e3
@@ -152,9 +156,9 @@ def run_replicate(s: scen.Scenario, n: int, measure: str, replicate: int, oracle
 
 
 def _run_batch(args):
-    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, settings = args
+    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, specs = args
     s = scen.scenario(sid)
-    return [run_replicate(s, n, measure, r, oracle, seed, alpha, settings) for r in range(rep_lo, rep_hi)]
+    return [run_replicate(s, n, measure, r, oracle, seed, alpha, specs) for r in range(rep_lo, rep_hi)]
 
 
 def _batches(reps: int, workers: int):
@@ -181,24 +185,22 @@ def _run_grid(config: RunConfig, settings) -> list:
     """Per-replicate record lists in (scenario, n, measure, replicate)
     order, each holding one record per ``(k, eps)`` in ``settings``.
 
-    Every (scenario, measure, setting) spec is built and filled for every
-    size first, so that a bad override or size fails before any truth
-    oracle is built. Each scenario's oracle is then built once. The order
-    needs no sort: the tasks are listed in it, ``_map`` keeps task order,
-    and each batch returns its replicates in order.
+    Each (scenario, n, measure) cell's specs, one per setting, are built
+    and filled once, before any truth oracle, so that a bad override or
+    size fails first; the cell's batches carry them. Each scenario's oracle
+    is then built once. The order needs no sort: the tasks are listed in
+    it, ``_map`` keeps task order, and each batch returns its replicates in
+    order.
     """
     scens = [scen.scenario(sid) for sid in config.scenarios]
-    for s, m, (k, eps) in itertools.product(scens, config.measures, settings):
-        spec = measure_spec_for(s, m, k=k, eps=eps)
-        for n in config.ns:
-            meas.fill_spec(spec, n)
+    specs = {(s.id, n, m): [meas.fill_spec(measure_spec_for(s, m, k=k, eps=eps), n) for k, eps in settings]
+             for s in scens for n in config.ns for m in config.measures}
     oracles = {}
     for s in scens:
         oracles[s.id] = scen.build_truth_oracle(s, config.alpha, config.ref_size, oracle_rng(config.seed, s.id))
         log.info("truth oracle %s: f_alpha=%.6g (ref_size=%d)", s.id, oracles[s.id].f_alpha, config.ref_size)
-    tasks = [(s.id, n, m, lo, hi, oracles[s.id], config.seed, config.alpha, settings)
-             for s in scens for n in config.ns for m in config.measures
-             for lo, hi in _batches(config.reps, config.workers)]
+    tasks = [(sid, n, m, lo, hi, oracles[sid], config.seed, config.alpha, cell)
+             for (sid, n, m), cell in specs.items() for lo, hi in _batches(config.reps, config.workers)]
     return [recs for chunk in _map(_run_batch, tasks, config.workers) for recs in chunk]
 
 
@@ -304,10 +306,12 @@ def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None
     """Fit each requested measure on the points, estimate its HDR, and form
     the strict-majority consensus labels."""
     sample = Sample2D(points)
-    # every spec is built, and a bad k or eps rejected, before any fit;
-    # external data carries no true family, so normal marginals are the
+    # alpha and every spec, filled for this sample, are checked before any
+    # fit; external data carries no true family, so normal marginals are the
     # documented default (the nonparametric kinds need no such choice)
-    specs = [meas.build_spec(token, k, eps, marginal_families=("normal", "normal")) for token in measure_tokens]
+    _check_alpha(alpha)
+    specs = [meas.fill_spec(meas.build_spec(token, k, eps, marginal_families=("normal", "normal")), sample.n)
+             for token in measure_tokens]
     labels = {}
     hps = {}
     for token, spec in zip(measure_tokens, specs):

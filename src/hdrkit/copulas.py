@@ -68,8 +68,14 @@ class CopulaModel:
     theta: float = 0.0
     a: float = 0.0
 
+    def params(self) -> dict:
+        """The family's parameters by name."""
+        names = {GAUSSIAN: ("rho",), STUDENT_T: ("rho", "nu"), FRANK: ("theta",), CLAYTON: ("theta",),
+                 INDEPENDENCE: (), DIRICHLET11A: ("a",)}[self.family]
+        return {name: getattr(self, name) for name in names}
+
     def n_params(self) -> int:
-        return {GAUSSIAN: 1, STUDENT_T: 2, FRANK: 1, CLAYTON: 1, INDEPENDENCE: 0, DIRICHLET11A: 1}[self.family]
+        return len(self.params())
 
 
 def gaussian(rho: float) -> CopulaModel:
@@ -191,7 +197,6 @@ def copula_cdf(c: CopulaModel, u, v):
         th = c.theta
         with np.errstate(divide="ignore"):
             out = (u ** -th + v ** -th - 1.0) ** (-1.0 / th)
-        out = np.where((u == 0.0) | (v == 0.0), 0.0, out)
     elif c.family == DIRICHLET11A:
         p = 1.0 / (c.a + 1.0)
         t = np.maximum((1.0 - u) ** p + (1.0 - v) ** p - 1.0, 0.0)
@@ -451,8 +456,8 @@ def select_copula_aic(pseudo: PseudoObservations):
         table[fam] = (aic, ll, model)
     if not table:
         raise RuntimeError(f"all candidate copula fits failed: {errors}")
-    order = {fam: i for i, fam in enumerate(FITTABLE_FAMILIES)}
-    best_fam = min(table, key=lambda f: (table[f][0], table[f][2].n_params(), order[f]))
+    # the table is filled in FITTABLE_FAMILIES order, and min keeps the first of equal keys
+    best_fam = min(table, key=lambda f: (table[f][0], table[f][2].n_params()))
     aic_table = {f: (table[f][0], table[f][1]) for f in table}
     return table[best_fam][2], aic_table
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,23 +69,28 @@ M3_ECDF_RECT = "m3-ecdf"
 M3_NPCOP_RECT = "m3-npcop"
 M3_PCOP_RECT = "m3-pcop"
 
-MEASURE_KINDS = (
-    M0_KDE,
-    M0_NPCOP,
-    M0_PCOP,
-    M1_KNN_EUCL,
-    M2_KNN_CDF,
-    M3_ECDF_RECT,
-    M3_NPCOP_RECT,
-    M3_PCOP_RECT,
-)
-
 UNBOUNDED = "unbounded"
 SIMPLEX = "simplex"
 
-_EPS_KINDS = (M3_ECDF_RECT, M3_NPCOP_RECT, M3_PCOP_RECT)
-_K_KINDS = (M1_KNN_EUCL, M2_KNN_CDF)
-_MODEL_KINDS = (M0_NPCOP, M0_PCOP, M3_NPCOP_RECT, M3_PCOP_RECT)
+
+class _Kind(NamedTuple):
+    param: str | None  # the hyperparameter it tunes: "k", "eps" or None
+    orientation: Orientation  # which way its scores point
+    min_n: int  # the fewest points it fits
+
+
+# what each kind takes; the copula kinds fit marginal and copula models
+_KINDS = {
+    M0_KDE: _Kind(None, Orientation.CONCENTRATION, 2),
+    M0_NPCOP: _Kind(None, Orientation.CONCENTRATION, 20),
+    M0_PCOP: _Kind(None, Orientation.CONCENTRATION, 20),
+    M1_KNN_EUCL: _Kind("k", Orientation.SPARSITY, 2),
+    M2_KNN_CDF: _Kind("k", Orientation.CONCENTRATION, 2),
+    M3_ECDF_RECT: _Kind("eps", Orientation.CONCENTRATION, 2),
+    M3_NPCOP_RECT: _Kind("eps", Orientation.CONCENTRATION, 20),
+    M3_PCOP_RECT: _Kind("eps", Orientation.CONCENTRATION, 20),
+}
+MEASURE_KINDS = tuple(_KINDS)
 _PCOP_KINDS = (M0_PCOP, M3_PCOP_RECT)
 
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
@@ -104,13 +110,12 @@ class MeasureSpec:
     support_class: str = UNBOUNDED
 
     def __post_init__(self):
-        if self.kind not in MEASURE_KINDS:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
+        param = tuned_param(self.kind)
         if self.support_class not in (UNBOUNDED, SIMPLEX):
             raise ValueError(f"unknown support class {self.support_class!r}")
-        if self.k is not None and self.kind not in _K_KINDS:
+        if self.k is not None and param != "k":
             raise ValueError(f"{self.kind} does not take k")
-        if self.eps is not None and self.kind not in _EPS_KINDS:
+        if self.eps is not None and param != "eps":
             raise ValueError(f"{self.kind} does not take eps")
         if self.eps is not None:
             if not math.isfinite(self.eps):
@@ -126,17 +131,15 @@ class MeasureSpec:
             if self.k < 1:
                 raise ValueError("k must be >= 1")
             object.__setattr__(self, "k", int(self.k))  # 2.0 means 2
-        if self.marginal_families and self.kind not in _MODEL_KINDS:
+        if self.marginal_families and self.kind not in _PCOP_KINDS:
             raise ValueError(f"{self.kind} takes no marginal families")
 
 
 def tuned_param(kind: str) -> str | None:
     """The hyperparameter ``kind`` takes: "k", "eps", or None for none."""
-    if kind in _K_KINDS:
-        return "k"
-    if kind in _EPS_KINDS:
-        return "eps"
-    return None
+    if kind not in _KINDS:
+        raise ValueError(f"unknown measure kind {kind!r}")
+    return _KINDS[kind].param
 
 
 def build_spec(kind: str, k=None, eps=None, support_class: str = UNBOUNDED, marginal_families=None) -> MeasureSpec:
@@ -162,7 +165,7 @@ def heuristic_k(n: int) -> int:
 
 def heuristic_eps(kind: str, n: int, support_class: str = UNBOUNDED) -> float:
     """Published box half-width rules per measure and support class."""
-    if kind not in _EPS_KINDS:
+    if tuned_param(kind) != "eps":
         raise ValueError(f"{kind} is not an eps-based measure")
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -216,9 +219,7 @@ class _KdeState:
         out = np.empty(q.shape[0])
         inv2h2 = 1.0 / (2.0 * self.h * self.h)
         for sl in _row_blocks(q.shape[0], n):
-            dx = q[sl, 0:1] - self.pts[:, 0]
-            dy = q[sl, 1:2] - self.pts[:, 1]
-            out[sl] = np.exp(-(dx * dx + dy * dy) * inv2h2).sum(axis=1)
+            out[sl] = np.exp(-_sq_dist(q[sl], self.pts) * inv2h2).sum(axis=1)
         return out / (n * 2.0 * np.pi * self.h * self.h)
 
 
@@ -231,9 +232,7 @@ class _KnnEuclState:
         n = self.pts.shape[0]
         out = np.empty(q.shape[0])
         for sl in _row_blocks(q.shape[0], n):
-            dx = q[sl, 0:1] - self.pts[:, 0]
-            dy = q[sl, 1:2] - self.pts[:, 1]
-            d = np.sqrt(dx * dx + dy * dy)
+            d = np.sqrt(_sq_dist(q[sl], self.pts))
             if self.k >= n:
                 out[sl] = d.sum(axis=1)
             else:
@@ -270,9 +269,7 @@ class _KnnCdfState:
         fq = self.ecdf.counts(q) / n
         out = np.empty(q.shape[0])
         for sl in _row_blocks(q.shape[0], 2 * n):
-            dx = q[sl, 0:1] - self.pts[:, 0]
-            dy = q[sl, 1:2] - self.pts[:, 1]
-            d = np.sqrt(dx * dx + dy * dy)
+            d = np.sqrt(_sq_dist(q[sl], self.pts))
             # exact ties resolve to the lower sample index
             idx = _k_smallest(d, k)[:, 1:]
             rows = np.arange(idx.shape[0])[:, None]
@@ -284,6 +281,12 @@ class _KnnCdfState:
                 terms = np.where(dist > 0.0, dp / dist, 0.0)  # duplicate points contribute 0
             out[sl] = terms.sum(axis=1)
         return out
+
+
+def _sq_dist(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each query row to each sample point."""
+    dx, dy = q[:, 0:1] - pts[:, 0], q[:, 1:2] - pts[:, 1]
+    return np.add(np.multiply(dx, dx, out=dx), np.multiply(dy, dy, out=dy), out=dx)  # in place, as in _chebyshev
 
 
 def _chebyshev(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -416,28 +419,17 @@ class _PCopRectState:
 def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
     """``spec`` with unset hyperparameters filled from the heuristics for a
     sample of ``n`` points. Raises ValueError when such a sample cannot fit
-    it: model-based kinds need n >= 20; k-based kinds need k <= n."""
-    if spec.kind in _K_KINDS and spec.k is None:
-        k = heuristic_k(n) if spec.kind == M1_KNN_EUCL else min(30, n)
-        spec = replace(spec, k=k)
-    if spec.kind in _EPS_KINDS and spec.eps is None:
+    it: each kind needs its ``_KINDS`` minimum; k-based kinds need k <= n."""
+    kind = _KINDS[spec.kind]
+    if n < kind.min_n:
+        raise ValueError(f"{spec.kind} needs at least {kind.min_n} points")
+    if kind.param == "k" and spec.k is None:
+        spec = replace(spec, k=heuristic_k(n) if spec.kind == M1_KNN_EUCL else min(30, n))
+    if kind.param == "eps" and spec.eps is None:
         spec = replace(spec, eps=heuristic_eps(spec.kind, n, spec.support_class))
-    if spec.kind in _MODEL_KINDS and n < 20:
-        raise ValueError(f"{spec.kind} needs at least 20 points")
-    if spec.kind in _K_KINDS and spec.k > n:
+    if kind.param == "k" and spec.k > n:
         raise ValueError(f"k={spec.k} exceeds sample size {n}")
     return spec
-
-
-def _copula_params(model) -> dict:
-    """Fitted copula parameters for the audit trail."""
-    if model.family == copulas.GAUSSIAN:
-        return {"rho": model.rho}
-    if model.family == copulas.STUDENT_T:
-        return {"rho": model.rho, "nu": model.nu}
-    if model.family in (copulas.FRANK, copulas.CLAYTON):
-        return {"theta": model.theta}
-    return {}
 
 
 def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
@@ -470,7 +462,9 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
     ``fill_spec``."""
     n = sample.n
     spec = fill_spec(spec, n)
-
+    kind = _KINDS[spec.kind]
+    hp = {kind.param: getattr(spec, kind.param)} if kind.param else {}
+    family = None
     try:
         if spec.kind == M0_KDE:
             sds = np.std(sample.points, axis=0, ddof=1)
@@ -479,51 +473,40 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
                 raise ValueError("degenerate sample: zero variance")
             # normal-scale rule (4/(d+2))^(1/(d+4)) n^(-1/(d+4)) sigma-bar; the
             # leading constant is exactly 1 for d = 2
-            h = sbar * n ** (-1.0 / 6.0)
-            return FittedMeasure(spec, Orientation.CONCENTRATION, _KdeState(sample.points, h), {"h": h})
-
-        if spec.kind == M1_KNN_EUCL:
-            return FittedMeasure(spec, Orientation.SPARSITY, _KnnEuclState(sample.points, spec.k), {"k": spec.k})
-
-        if spec.kind == M2_KNN_CDF:
-            return FittedMeasure(spec, Orientation.CONCENTRATION, _KnnCdfState(sample.points, spec.k), {"k": spec.k})
-
-        if spec.kind == M3_ECDF_RECT:
-            return FittedMeasure(spec, Orientation.CONCENTRATION, _EcdfRectState(sample, spec.eps), {"eps": spec.eps})
-
-        if spec.kind == M0_NPCOP:
+            hp["h"] = sbar * n ** (-1.0 / 6.0)
+            state = _KdeState(sample.points, hp["h"])
+        elif spec.kind == M1_KNN_EUCL:
+            state = _KnnEuclState(sample.points, spec.k)
+        elif spec.kind == M2_KNN_CDF:
+            state = _KnnCdfState(sample.points, spec.k)
+        elif spec.kind == M3_ECDF_RECT:
+            state = _EcdfRectState(sample, spec.eps)
+        elif spec.kind == M0_NPCOP:
             state = _NpCopDensityState(sample)
-            hp = {"h1": state.copfit.h1, "h2": state.copfit.h2, "hm1": state.marg[0].h, "hm2": state.marg[1].h}
-            return FittedMeasure(spec, Orientation.CONCENTRATION, state, hp)
-
-        if spec.kind == M3_NPCOP_RECT:
+            hp.update(h1=state.copfit.h1, h2=state.copfit.h2, hm1=state.marg[0].h, hm2=state.marg[1].h)
+        elif spec.kind == M3_NPCOP_RECT:
             state = _NpCopRectState(sample, spec.eps)
-            hp = {"eps": spec.eps, "h1": state.copfit.h1, "h2": state.copfit.h2}
-            return FittedMeasure(spec, Orientation.CONCENTRATION, state, hp)
-
-        if spec.kind == M0_PCOP:
+            hp.update(h1=state.copfit.h1, h2=state.copfit.h2)
+        else:  # the parametric-copula kinds
             model, marginals = _fit_parametric(sample, spec)
-            state = _PCopDensityState(model, marginals)
-            return FittedMeasure(spec, Orientation.CONCENTRATION, state, _copula_params(model), model.family)
-
-        if spec.kind == M3_PCOP_RECT:
-            model, marginals = _fit_parametric(sample, spec)
-            state = _PCopRectState(model, marginals, spec.eps)
-            hp = {"eps": spec.eps, **_copula_params(model)}
-            return FittedMeasure(spec, Orientation.CONCENTRATION, state, hp, model.family)
+            family = model.family
+            hp.update(model.params())
+            state = (_PCopDensityState(model, marginals) if spec.kind == M0_PCOP
+                     else _PCopRectState(model, marginals, spec.eps))
     except Exception as exc:
         raise FitError(f"fitting measure {spec.kind} failed: {exc}") from exc
+    return FittedMeasure(spec, kind.orientation, state, hp, family)
 
 
 def m0_pcop_from_models(copula_model, marginals) -> FittedMeasure:
     """Density-product measure with exact (injected) models, no fitting."""
     spec = MeasureSpec(M0_PCOP)
     state = _PCopDensityState(copula_model, tuple(marginals))
-    return FittedMeasure(spec, Orientation.CONCENTRATION, state, {}, copula_model.family)
+    return FittedMeasure(spec, _KINDS[M0_PCOP].orientation, state, {}, copula_model.family)
 
 
 def m3_pcop_from_models(copula_model, marginals, eps: float) -> FittedMeasure:
     """Box-probability measure with exact (injected) models, no fitting."""
     spec = MeasureSpec(M3_PCOP_RECT, eps=eps)
     state = _PCopRectState(copula_model, tuple(marginals), eps)
-    return FittedMeasure(spec, Orientation.CONCENTRATION, state, {"eps": eps}, copula_model.family)
+    return FittedMeasure(spec, _KINDS[M3_PCOP_RECT].orientation, state, {"eps": eps}, copula_model.family)

@@ -60,3 +60,27 @@ def npcop_rect_prob(fit, u_lo, u_hi, v_lo, v_hi):
     if u_lo.ndim == 0:
         return float(out[0])
     return out.reshape(u_lo.shape)
+
+
+def _euclid_sq(pts, queries):
+    """Squared Euclidean distance matrix, queries by sample points."""
+    dx = queries[:, None, 0] - pts[None, :, 0]
+    dy = queries[:, None, 1] - pts[None, :, 1]
+    return dx * dx + dy * dy
+
+
+def kde_scores(pts, queries, h):
+    """m0-kde over the whole query-by-sample matrix: the mean of Gaussian
+    kernels exp(-d^2 / (2 h^2)) / (2 pi h^2), with 1/(2 h^2) formed once."""
+    kernels = np.exp(-_euclid_sq(pts, queries) * (1.0 / (2.0 * h * h)))
+    return kernels.sum(axis=1) / (pts.shape[0] * 2.0 * np.pi * h * h)
+
+
+def knn_eucl_scores(pts, queries, k):
+    """m1 over the whole query-by-sample matrix: the sum of each row's k
+    smallest Euclidean distances. They are taken by ``np.partition`` because
+    the order of that sum is part of m1's bits."""
+    d = np.sqrt(_euclid_sq(pts, queries))
+    if k >= pts.shape[0]:
+        return d.sum(axis=1)
+    return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)

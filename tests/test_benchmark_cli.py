@@ -111,6 +111,9 @@ class TestBenchOutputs:
          "eps must be finite, got nan"),
         (["bench", "--scenarios", "S2", "--n", "50", "--measures", "m3-npcop", "--eps", "1e-320"],
          "eps=1e-320 is out of range"),
+        (["bench", "--scenarios", "S2", "--n", "1", "--measures", "m0-kde"], "m0-kde needs at least 2 points"),
+        (["bench", "--scenarios", "S2", "--n", "1", "--measures", "m2"], "m2 needs at least 2 points"),
+        (["bench", "--scenarios", "S2", "--n", "0", "--measures", "m0-kde"], "m0-kde needs at least 2 points"),
     ])
     def test_bad_override_fails_before_any_oracle(self, tmp_path, capsys, monkeypatch, args, message):
         builds = []
@@ -223,14 +226,31 @@ class TestReplicate:
         s = hk.scenario(sid)
         oracle = hk.build_truth_oracle(s, 0.05, 10 ** 5, benchmark.oracle_rng(42, sid))
         args = (s, 60, measure, 3, oracle, 42, 0.05)
-        together = benchmark.run_replicate(*args, settings)
-        apart = [rec for st in settings for rec in benchmark.run_replicate(*args, [st])]
+        specs = [benchmark.meas.fill_spec(measure_spec_for(s, measure, k=k, eps=eps), 60) for k, eps in settings]
+        together = benchmark.run_replicate(*args, specs)
+        apart = [rec for spec in specs for rec in benchmark.run_replicate(*args, [spec])]
 
         def key(r):
             return r.scenario, r.n, r.measure, r.replicate, r.row, r.hyperparams, r.fitted_copula_family
 
         assert [key(r) for r in together] == [key(r) for r in apart]
         assert together[0].row != together[1].row
+
+
+def _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, n, message, *args):
+    """``apply`` on n points with ``args`` exits 2 with ``message``, having
+    fitted nothing and written no output."""
+    fits = []
+    fit = benchmark.meas.fit_measure
+    monkeypatch.setattr(benchmark.meas, "fit_measure", lambda spec, sample: fits.append(spec) or fit(spec, sample))
+    f = tmp_path / "d.csv"
+    f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in np.random.default_rng(9).normal(size=(n, 2)).tolist()))
+    out = tmp_path / "o.csv"
+    code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", *args, "--out", str(out)])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert fits == []
+    assert not out.exists()
 
 
 class TestApply:
@@ -270,7 +290,8 @@ class TestApply:
         pts = replicate_rng(3, "S2", 40, "spec", 0).normal(size=(40, 2))
         apply_measures(pts, hk.MEASURE_KINDS, k=5, eps=0.3)
         s2 = hk.scenario("S2")
-        assert specs == [measure_spec_for(s2, kind, k=5, eps=0.3) for kind in hk.MEASURE_KINDS]
+        filled = [benchmark.meas.fill_spec(measure_spec_for(s2, kind, k=5, eps=0.3), 40) for kind in hk.MEASURE_KINDS]
+        assert specs == filled
         assert {s.kind: (s.k, s.eps) for s in specs if s.k or s.eps} == {
             "m1": (5, None), "m2": (5, None), "m3-ecdf": (None, 0.3), "m3-npcop": (None, 0.3), "m3-pcop": (None, 0.3)}
         assert {s.kind for s in specs if s.marginal_families} == {"m0-pcop", "m3-pcop"}
@@ -352,18 +373,15 @@ class TestApply:
         ("1e200", "eps=1e+200 is out of range"),
     ])
     def test_bad_eps_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch, eps, message):
-        fits = []
-        fit = benchmark.meas.fit_measure
-        monkeypatch.setattr(benchmark.meas, "fit_measure", lambda spec, sample: fits.append(spec) or fit(spec, sample))
-        f = tmp_path / "d.csv"
-        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in np.random.default_rng(9).normal(size=(40, 2)).tolist()))
-        out = tmp_path / "o.csv"
-        code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m1,m3-ecdf,m3-npcop,m3-pcop",
-                     "--eps", eps, "--out", str(out)])
-        assert code == 2
-        assert f"error: {message}" in capsys.readouterr().err
-        assert fits == []
-        assert not out.exists()
+        _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, 40, message,
+                                           "--measures", "m1,m3-ecdf,m3-npcop,m3-pcop", "--eps", eps)
+
+    @pytest.mark.parametrize("n,args,message", [
+        (40, ("--measures", "m0-kde,m1", "--alpha", "1.5"), "alpha must be in (0, 1)"),
+        (10, ("--measures", "m1,m0-npcop"), "m0-npcop needs at least 20 points"),
+    ])
+    def test_bad_alpha_or_size_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch, n, args, message):
+        _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, n, message, *args)
 
     def test_no_seed_option(self, tmp_path, capsys):
         # apply draws nothing, so a seed would be a knob nothing reads

@@ -231,6 +231,19 @@ class TestFitting:
         assert model.family in ("gaussian", "student_t")
         assert abs(model.rho - RHO) < 0.02
 
+    def test_params_name_each_family_parameter(self):
+        cases = [
+            (C.gaussian(0.3), {"rho": 0.3}),
+            (C.student_t_copula(0.3, 5.0), {"rho": 0.3, "nu": 5.0}),
+            (C.frank(2.0), {"theta": 2.0}),
+            (C.clayton(1.5), {"theta": 1.5}),
+            (C.dirichlet11a(2.0), {"a": 2.0}),
+            (C.independence(), {}),
+        ]
+        for model, expect in cases:
+            assert model.params() == expect, model.family
+            assert model.n_params() == len(model.params())
+
 
 class TestNpCopula:
     def test_bandwidths_near_reference(self):

@@ -9,7 +9,7 @@ import hdrkit as hk
 from hdrkit import copulas as C, core, distributions as D, measures as M
 from hdrkit.benchmark import measure_spec_for, replicate_rng, run_tune
 from hdrkit.core import Orientation, Sample2D
-from oracles import ecdf1, rect_count
+from oracles import ecdf1, kde_scores, knn_eucl_scores, rect_count
 
 
 class TestHeuristics:
@@ -74,6 +74,18 @@ class TestSpecFilling:
             M.MeasureSpec("m1", eps=0.5)
         with pytest.raises(ValueError):
             M.MeasureSpec("m1", marginal_families=("normal", "normal"))
+        # only the parametric-copula kinds read marginal families
+        for kind in ("m0-npcop", "m3-npcop"):
+            with pytest.raises(ValueError, match="takes no marginal families"):
+                M.MeasureSpec(kind, marginal_families=("normal", "normal"))
+
+    def test_one_point_sample_rejected(self):
+        samp = Sample2D([(0.5, 1.5)])
+        for kind in M.MEASURE_KINDS:
+            least = 20 if kind in ("m0-npcop", "m0-pcop", "m3-npcop", "m3-pcop") else 2
+            spec = M.build_spec(kind, marginal_families=("normal", "normal"))
+            with pytest.raises(ValueError, match=f"^{kind} needs at least {least} points$"):
+                M.fit_measure(spec, samp)
 
     @pytest.mark.parametrize("eps,message", [
         (np.inf, "must be finite"), (-np.inf, "must be finite"), (np.nan, "must be finite"),
@@ -117,6 +129,14 @@ class TestKdeScore:
                             M._KdeState(np.zeros((1, 2)), 1.0), {"h": 1.0})
         assert_allclose(f.score((3.0, 4.0)), math.exp(-12.5) / (2.0 * math.pi), rtol=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 60, 700])
+    def test_matches_whole_matrix_oracle(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 2))
+        queries = np.vstack([pts, rng.normal(size=(25, 2))])
+        f = M.fit_measure(M.MeasureSpec("m0-kde"), Sample2D(pts))
+        assert np.array_equal(f.score(queries), kde_scores(pts, queries, f.hyperparams["h"]))
+
     def test_kde_consistency_at_mode(self):
         s2 = hk.scenario("S2")
         rng = replicate_rng(3, "S2", 10 ** 4, "kde-mode", 0)
@@ -142,6 +162,14 @@ class TestKnnScores:
         samp = Sample2D([(0, 0), (2, 0)])
         f = M.fit_measure(M.MeasureSpec("m1", k=2), samp)
         assert_allclose(f.score((1.0, 0.0)), 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (60, 5), (60, 60), (700, 19), (700, 150), (700, 700)])
+    def test_m1_matches_whole_matrix_oracle(self, n, k):
+        rng = np.random.default_rng(n + k)
+        pts = rng.normal(size=(n, 2))
+        queries = np.vstack([pts, rng.normal(size=(25, 2))])
+        f = M.fit_measure(M.MeasureSpec("m1", k=k), Sample2D(pts))
+        assert np.array_equal(f.score(queries), knn_eucl_scores(pts, queries, k))
 
     def test_m2_k1_zero(self):
         rng = np.random.default_rng(5)
