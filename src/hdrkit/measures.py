@@ -92,6 +92,7 @@ _KINDS = {
 }
 MEASURE_KINDS = tuple(_KINDS)
 _PCOP_KINDS = (M0_PCOP, M3_PCOP_RECT)
+_MARGINAL_FAMILIES = (dists.NORMAL, dists.STUDENT_T, dists.NORMAL_MIXTURE, dists.BETA11A)
 
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
 # largest in-sample Chebyshev matrix m3-ecdf memoises (entries; n <= 2000)
@@ -131,8 +132,13 @@ class MeasureSpec:
             if self.k < 1:
                 raise ValueError("k must be >= 1")
             object.__setattr__(self, "k", int(self.k))  # 2.0 means 2
-        if self.marginal_families and self.kind not in _PCOP_KINDS:
-            raise ValueError(f"{self.kind} takes no marginal families")
+        if self.marginal_families is not None:
+            if self.kind not in _PCOP_KINDS:
+                raise ValueError(f"{self.kind} takes no marginal families")
+            families = tuple(self.marginal_families)
+            if len(families) != 2 or not all(f in _MARGINAL_FAMILIES for f in families):
+                raise ValueError(f"{self.kind} takes two marginal families from {_MARGINAL_FAMILIES}, got {families}")
+            object.__setattr__(self, "marginal_families", families)
 
 
 def tuned_param(kind: str) -> str | None:
@@ -419,8 +425,11 @@ class _PCopRectState:
 def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
     """``spec`` with unset hyperparameters filled from the heuristics for a
     sample of ``n`` points. Raises ValueError when such a sample cannot fit
-    it: each kind needs its ``_KINDS`` minimum; k-based kinds need k <= n."""
+    it: each kind needs its ``_KINDS`` minimum; k-based kinds need k <= n;
+    the parametric-copula kinds need their two marginal families."""
     kind = _KINDS[spec.kind]
+    if spec.kind in _PCOP_KINDS and spec.marginal_families is None:
+        raise ValueError(f"{spec.kind} requires marginal_families")
     if n < kind.min_n:
         raise ValueError(f"{spec.kind} needs at least {kind.min_n} points")
     if kind.param == "k" and spec.k is None:
@@ -434,8 +443,6 @@ def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
 
 def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
     families = spec.marginal_families
-    if families is None:
-        raise ValueError(f"{spec.kind} requires marginal_families")
 
     def fit():
         fits = [dists.fit_marginal_mle(sample.column(j), families[j]) for j in range(2)]
@@ -450,7 +457,7 @@ def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
         return model, marginals
 
     # m0-pcop and m3-pcop fitted to one sample share this fit
-    return sample.derived(("parametric", tuple(families)), fit)
+    return sample.derived(("parametric", families), fit)
 
 
 class FitError(RuntimeError):
@@ -500,13 +507,15 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
 
 def m0_pcop_from_models(copula_model, marginals) -> FittedMeasure:
     """Density-product measure with exact (injected) models, no fitting."""
-    spec = MeasureSpec(M0_PCOP)
-    state = _PCopDensityState(copula_model, tuple(marginals))
+    marginals = tuple(marginals)
+    spec = MeasureSpec(M0_PCOP, marginal_families=tuple(m.family for m in marginals))
+    state = _PCopDensityState(copula_model, marginals)
     return FittedMeasure(spec, _KINDS[M0_PCOP].orientation, state, {}, copula_model.family)
 
 
 def m3_pcop_from_models(copula_model, marginals, eps: float) -> FittedMeasure:
     """Box-probability measure with exact (injected) models, no fitting."""
-    spec = MeasureSpec(M3_PCOP_RECT, eps=eps)
-    state = _PCopRectState(copula_model, tuple(marginals), eps)
+    marginals = tuple(marginals)
+    spec = MeasureSpec(M3_PCOP_RECT, eps=eps, marginal_families=tuple(m.family for m in marginals))
+    state = _PCopRectState(copula_model, marginals, eps)
     return FittedMeasure(spec, _KINDS[M3_PCOP_RECT].orientation, state, {"eps": eps}, copula_model.family)

@@ -1,7 +1,7 @@
 """Brute-force reference implementations the measures are checked against.
 
-Each works directly over the whole sample, with no sorting, blocking or
-shared kernel rows, so it shares no code path with the package's ECDF
+Each works directly over the whole sample, with no sorting, row blocking
+or shared kernel rows, so it shares no code path with the package's ECDF
 owner or pairwise kernels.
 """
 
@@ -45,10 +45,10 @@ def rect_count(sample, lo, hi) -> int:
     return int(np.count_nonzero(inside))
 
 
-def npcop_rect_prob(fit, u_lo, u_hi, v_lo, v_hi):
-    """Transformation-KDE copula probability of [u_lo,u_hi]x[v_lo,v_hi],
-    four normal-CDF kernel evaluations per (query, sample point) pair over
-    the whole query-by-sample matrix; 0/1 bounds map to -inf/+inf."""
+def _npcop_products(fit, u_lo, u_hi, v_lo, v_hi):
+    """The (query, sample point) products ``du * dv`` of four normal-CDF
+    kernel evaluations over the whole query-by-sample matrix, with the
+    queries' broadcast shape; 0/1 bounds map to -inf/+inf."""
     u_lo, u_hi, v_lo, v_hi = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (u_lo, u_hi, v_lo, v_hi)))
     with np.errstate(divide="ignore"):
         s_lo, s_hi, t_lo, t_hi = (special.ndtri(np.atleast_1d(a).ravel())[:, None] for a in (u_lo, u_hi, v_lo, v_hi))
@@ -56,10 +56,32 @@ def npcop_rect_prob(fit, u_lo, u_hi, v_lo, v_hi):
     z2 = fit.z[:, 1]
     du = special.ndtr((s_hi - z1) / fit.h1) - special.ndtr((s_lo - z1) / fit.h1)
     dv = special.ndtr((t_hi - z2) / fit.h2) - special.ndtr((t_lo - z2) / fit.h2)
-    out = np.clip((du * dv).sum(axis=-1) / fit.n, 0.0, 1.0)
-    if u_lo.ndim == 0:
+    return du * dv, u_lo.shape
+
+
+def _npcop_prob(sums, fit, shape):
+    out = np.clip(sums / fit.n, 0.0, 1.0)
+    if not shape:
         return float(out[0])
-    return out.reshape(u_lo.shape)
+    return out.reshape(shape)
+
+
+def npcop_rect_prob_rows(fit, u_lo, u_hi, v_lo, v_hi):
+    """Transformation-KDE copula probability of [u_lo,u_hi]x[v_lo,v_hi],
+    each query's products summed over its whole sample row at once."""
+    prod, shape = _npcop_products(fit, u_lo, u_hi, v_lo, v_hi)
+    return _npcop_prob(prod.sum(axis=-1), fit, shape)
+
+
+def npcop_rect_prob(fit, u_lo, u_hi, v_lo, v_hi, chunk):
+    """The same probability summed in the package's order: each query's
+    products over consecutive runs of ``chunk`` sample points, the run sums
+    added from left to right."""
+    prod, shape = _npcop_products(fit, u_lo, u_hi, v_lo, v_hi)
+    sums = np.zeros(prod.shape[0])
+    for j in range(0, fit.n, chunk):
+        sums += np.ascontiguousarray(prod[:, j : j + chunk]).sum(axis=-1)
+    return _npcop_prob(sums, fit, shape)
 
 
 def _euclid_sq(pts, queries):

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from hdrkit import copulas as C, core, distributions as D, measures as M
 from hdrkit.core import Sample2D
-from oracles import ecdf1, npcop_rect_prob as oracle_rect_prob
+from oracles import ecdf1, npcop_rect_prob as chunked_rect_prob, npcop_rect_prob_rows as rows_rect_prob
 
 RHO = math.sin(math.pi / 4.0)
 
@@ -317,9 +317,15 @@ class TestNpCopula:
             assert abs(quad - C.npcop_rect_prob(fit, a1, b1, a2, b2)) < 1e-4
 
 
+def oracle_rect_prob(fit, *bounds):
+    return chunked_rect_prob(fit, *bounds, chunk=C._NPCOP_CHUNK)
+
+
 class TestNpRectSharedRows:
-    """npcop_rect_prob shares one u-side kernel row per distinct bound in a
-    row block; it must stay bit-identical to the four-ndtr formula."""
+    """npcop_rect_prob evaluates one kernel row per distinct bound from
+    whole-sample tables; it must stay bit-identical to the four-ndtr
+    products summed in its fixed sample chunks, and within rounding of the
+    same products summed over whole rows."""
 
     @staticmethod
     def _in_sample_bounds(n=120, eps=0.6):
@@ -332,11 +338,14 @@ class TestNpRectSharedRows:
         hi = np.column_stack([ecdf1(pts[:, j], pts[:, j] + eps) for j in range(2)])
         return fit, (lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
 
-    def test_random_bounds(self):
+    @staticmethod
+    def _random_bounds():
         u = C.copula_sample(C.clayton(2.0), 150, np.random.default_rng(41))
-        fit = C.npcop_fit(u)
         b = np.sort(np.random.default_rng(42).uniform(0.0, 1.0, size=(4, 90, 2)), axis=2)
-        args = (b[0, :, 0], b[0, :, 1], b[1, :, 0], b[1, :, 1])
+        return C.npcop_fit(u), (b[0, :, 0], b[0, :, 1], b[1, :, 0], b[1, :, 1])
+
+    def test_random_bounds(self):
+        fit, args = self._random_bounds()
         assert np.array_equal(C.npcop_rect_prob(fit, *args), oracle_rect_prob(fit, *args))
         # a 2-D batch keeps its shape
         args2 = tuple(a.reshape(9, 10) for a in args)
@@ -349,25 +358,41 @@ class TestNpRectSharedRows:
         got = C.npcop_rect_prob(fit, 0.2, 0.55, 0.1, 0.7)
         assert isinstance(got, float) and got == oracle_rect_prob(fit, 0.2, 0.55, 0.1, 0.7)
 
-    @pytest.mark.parametrize("budget", [1, 240 * 7, 10 ** 9], ids=["one-row", "remainder", "one-block"])
+    @pytest.mark.parametrize("budget", [1, C._NPCOP_CHUNK * 7, 10 ** 9], ids=["one-row", "remainder", "one-block"])
     def test_in_sample_bounds(self, monkeypatch, budget):
-        # width 2n = 240: 1-row blocks, blocks of 7 rows (17 and a remainder
-        # of 1), and all 120 queries in one block
+        # 1-row blocks, blocks of 7 rows (17 and a remainder of 1), and all
+        # 120 queries in one block; n = 120 also ends in a short chunk
         fit, b = self._in_sample_bounds()
+        assert fit.n % C._NPCOP_CHUNK
         assert np.any(b[0] == 0.0) and np.any(b[1] == 1.0) and np.any(b[2] == 0.0) and np.any(b[3] == 1.0)
         monkeypatch.setattr(core, "_BLOCK_BUDGET", budget)
         assert np.array_equal(C.npcop_rect_prob(fit, *b), oracle_rect_prob(fit, *b))
+
+    def test_close_to_whole_row_sums(self):
+        # the chunked sums differ from whole-row sums only by rounding
+        fit, b = self._in_sample_bounds()
+        assert_allclose(C.npcop_rect_prob(fit, *b), rows_rect_prob(fit, *b), rtol=1e-13, atol=0)
+        fit, b = self._random_bounds()
+        assert_allclose(C.npcop_rect_prob(fit, *b), rows_rect_prob(fit, *b), rtol=1e-13, atol=0)
+        b2 = tuple(a.reshape(9, 10) for a in b)
+        assert_allclose(C.npcop_rect_prob(fit, *b2), rows_rect_prob(fit, *b2), rtol=1e-13, atol=0)
+        assert_allclose(C.npcop_rect_prob(fit, 0.2, 0.55, 0.1, 0.7), rows_rect_prob(fit, 0.2, 0.55, 0.1, 0.7),
+                        rtol=1e-13, atol=0)
 
     def test_in_sample_call_shares_kernel_rows(self, monkeypatch):
         n = 400
         pts = np.random.default_rng(44).normal(size=(n, 2))
         f = M.fit_measure(M.MeasureSpec("m3-npcop"), Sample2D(pts))
+        eps = f.hyperparams["eps"]
+        distinct = [np.unique(np.concatenate([ecdf1(pts[:, j], pts[:, j] - eps), ecdf1(pts[:, j], pts[:, j] + eps)])).size
+                    for j in range(2)]
         entries = []
         ndtr = C.special.ndtr
         monkeypatch.setattr(C.special, "ndtr", lambda x, *a, **kw: entries.append(np.size(x)) or ndtr(x, *a, **kw))
         f.score(pts)
-        # the four-ndtr formula evaluates 4 n^2 entries
-        assert sum(entries) < 0.8 * 4 * n * n
+        # one kernel row per distinct bound of each axis, where the four-ndtr
+        # formula evaluates 4 n^2 entries
+        assert sum(entries) == (distinct[0] + distinct[1]) * n
 
 
 def _npfit():

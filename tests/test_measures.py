@@ -79,6 +79,24 @@ class TestSpecFilling:
             with pytest.raises(ValueError, match="takes no marginal families"):
                 M.MeasureSpec(kind, marginal_families=("normal", "normal"))
 
+    @pytest.mark.parametrize("families", [(), ("normal",), ("nrml", "normal"), ("normal", "normal", "normal")])
+    def test_pcop_needs_two_known_families(self, families):
+        for kind in ("m0-pcop", "m3-pcop"):
+            with pytest.raises(ValueError, match="takes two marginal families"):
+                M.MeasureSpec(kind, marginal_families=families)
+
+    def test_pcop_without_families_rejected_before_fitting(self):
+        for kind in ("m0-pcop", "m3-pcop"):
+            with pytest.raises(ValueError, match=f"^{kind} requires marginal_families$"):
+                M.fill_spec(M.MeasureSpec(kind), 100)
+        # a list is kept as a tuple
+        spec = M.fill_spec(M.MeasureSpec("m3-pcop", marginal_families=["beta11a", "normal_mixture"]), 100)
+        assert spec.marginal_families == ("beta11a", "normal_mixture")
+        # the injected-model measures name their models' families
+        marg = (D.normal(0.0, 1.0), D.student_t(5.0))
+        assert M.m0_pcop_from_models(C.gaussian(0.5), marg).spec.marginal_families == ("normal", "student_t")
+        assert M.m3_pcop_from_models(C.gaussian(0.5), marg, 0.1).spec.marginal_families == ("normal", "student_t")
+
     def test_one_point_sample_rejected(self):
         samp = Sample2D([(0.5, 1.5)])
         for kind in M.MEASURE_KINDS:

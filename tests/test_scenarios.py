@@ -148,6 +148,16 @@ class TestTruthOracle:
         oracle = build_truth_oracle(scenario("S17"), 0.05, 10 ** 6, oracle_rng(42, "S17"))
         assert_allclose(oracle.f_alpha, 6.0 * betaincinv(2.0, 2.0, 0.05), rtol=2e-3)
 
+    def test_s2_analytic_quantile(self):
+        # a bivariate normal's density is exp(-Q/2) / (2 pi sqrt(det S)) with
+        # Q ~ chi2_2, so f_alpha = alpha / (2 pi sqrt(det S)); rtol is about
+        # 2.5 Monte Carlo standard errors at 1e6 draws
+        s = scenario("S2")
+        m1, m2 = s.marginals
+        det = (m1.sigma * m2.sigma) ** 2 * (1.0 - s.copula.rho ** 2)
+        oracle = build_truth_oracle(s, 0.05, 10 ** 6, oracle_rng(42, "S2"))
+        assert_allclose(oracle.f_alpha, 0.05 / (2.0 * math.pi * math.sqrt(det)), rtol=1e-2)
+
     def test_label_truth_basics(self):
         s = scenario("S2")
         oracle = build_truth_oracle(s, 0.05, 10 ** 5, np.random.default_rng(4))
