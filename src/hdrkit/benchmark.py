@@ -28,7 +28,7 @@ import numpy as np
 
 from . import measures as meas
 from . import scenarios as scen
-from .core import Sample2D
+from .core import Sample2D, _check_alpha
 from .evaluation import METRIC_NAMES, MetricsRow, aggregate, confusion, metrics
 from .hdr import classify, estimate_hdr, measure_average
 
@@ -64,11 +64,6 @@ def oracle_rng(seed: int, scenario_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _check_alpha(alpha: float):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: tuple
@@ -86,6 +81,8 @@ class RunConfig:
         # canonical ids ('s2' and 2 become 'S2'); raises on an unknown id before any work
         object.__setattr__(self, "scenarios", tuple(scen.scenario(sid).id for sid in self.scenarios))
         for what, values in (("scenario", self.scenarios), ("size", self.ns), ("measure", self.measures)):
+            if not values:
+                raise ValueError(f"no {what}s given")
             if len(set(values)) < len(values):
                 raise ValueError(f"repeated {what} in {', '.join(map(str, values))}")
         for m in self.measures:
@@ -327,6 +324,8 @@ def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None
 def simulate_scenario(sid: str, n: int, seed: int):
     """Draws plus their true density, for inspection and round-trip tests."""
     s = scen.scenario(sid)
+    if n < 1:  # before the stream: a negative n is not valid entropy
+        raise ValueError("n must be >= 1")
     rng = replicate_rng(seed, s.id, n, "simulate", 0)
     sample = scen.sample_scenario(s, n, rng)
     dens = scen.true_density(s, sample.points)

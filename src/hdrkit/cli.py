@@ -36,6 +36,7 @@ from .benchmark import (
 log = logging.getLogger("hdrkit")
 
 _ALL_MEASURES = tuple(meas.MEASURE_KINDS)
+_SVG_SIZE, _SVG_MARGIN = 600, 20  # scatter viewbox side and inner margin
 
 
 def _parse_measures(text: str):
@@ -179,7 +180,7 @@ def _cmd_tune(args) -> int:
 
 def _read_xy_csv(path: str, col_x: str, col_y: str):
     """Parse two numeric columns; drop rows with missing cells (logged),
-    raise on non-numeric content with the offending line number."""
+    raise on a non-numeric or non-finite cell with its line number."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -202,10 +203,13 @@ def _read_xy_csv(path: str, col_x: str, col_y: str):
                 dropped += 1
                 continue
             try:
-                xs.append(float(cx))
-                ys.append(float(cy))
+                x, y = float(cx), float(cy)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value in {col_x!r}/{col_y!r}") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {col_x!r}/{col_y!r}")
+            xs.append(x)
+            ys.append(y)
     if dropped:
         log.info("dropped %d rows with missing %s/%s values", dropped, col_x, col_y)
     if not xs:
@@ -248,19 +252,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def write_svg_scatter(path: str, points: np.ndarray, inside: np.ndarray, size: int = 600, margin: int = 20):
+def write_svg_scatter(path: str, points: np.ndarray, inside: np.ndarray):
     """Static scatter, inside/outside as two fill classes, 600x600 viewbox."""
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.where(hi - lo <= 0, 1.0, hi - lo)
-    inner = size - 2 * margin
-    sx = margin + (pts[:, 0] - lo[0]) / span[0] * inner
-    sy = size - margin - (pts[:, 1] - lo[1]) / span[1] * inner  # y grows upward
+    inner = _SVG_SIZE - 2 * _SVG_MARGIN
+    sx = _SVG_MARGIN + (pts[:, 0] - lo[0]) / span[0] * inner
+    sy = _SVG_SIZE - _SVG_MARGIN - (pts[:, 1] - lo[1]) / span[1] * inner  # y grows upward
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
         "<style>.in{fill:#5f9ea0;}.out{fill:#8b3a9e;}</style>",
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
     for x, y, lab in zip(sx, sy, np.asarray(inside, dtype=bool)):
         cls = "in" if lab else "out"

@@ -227,18 +227,7 @@ def copula_pdf(c: CopulaModel, u, v):
         y = special.ndtri(v)
         out = np.exp(-(r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * (1.0 - r * r))) / np.sqrt(1.0 - r * r)
     elif c.family == STUDENT_T:
-        r, nu = c.rho, c.nu
-        x = stats.t.ppf(u, nu)
-        y = stats.t.ppf(v, nu)
-        quad = (x * x - 2.0 * r * x * y + y * y) / (1.0 - r * r)
-        log_num = special.gammaln((nu + 2.0) / 2.0) + special.gammaln(nu / 2.0) - 2.0 * special.gammaln((nu + 1.0) / 2.0)
-        log_c = (
-            log_num
-            - 0.5 * np.log(1.0 - r * r)
-            - (nu + 2.0) / 2.0 * np.log1p(quad / nu)
-            + (nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
-        )
-        out = np.exp(log_c)
+        out = np.exp(_t_log_density(stats.t.ppf(u, c.nu), stats.t.ppf(v, c.nu), c.nu)(c.rho))
     elif c.family == FRANK:
         th = c.theta
         # stable form: th (1-e^-th) e^{-th(u+v)} / (e^-th - e^-th u - e^-th v + e^{-th(u+v)})^2
@@ -263,6 +252,21 @@ def copula_pdf(c: CopulaModel, u, v):
     else:
         raise ValueError(f"unknown family {c.family!r}")
     return float(out) if out.ndim == 0 else out
+
+
+def _t_log_density(x, y, nu):
+    """The t-copula log-density at t quantiles ``x, y`` as a function of rho.
+
+    The rho-free terms are formed once, so a profile over rho reuses them.
+    """
+    log_num = special.gammaln((nu + 2.0) / 2.0) + special.gammaln(nu / 2.0) - 2.0 * special.gammaln((nu + 1.0) / 2.0)
+    marg = (nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
+
+    def log_c(r):
+        quad = (x * x - 2.0 * r * x * y + y * y) / (1.0 - r * r)
+        return log_num - 0.5 * np.log(1.0 - r * r) - (nu + 2.0) / 2.0 * np.log1p(quad / nu) + marg
+
+    return log_c
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +321,13 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
         u = rng.random((n, 2))
         return PseudoObservations(_clip_open(u))
 
-    if c.family == GAUSSIAN:
+    if c.family in (GAUSSIAN, STUDENT_T):
         z = rng.standard_normal((n, 2))
-        z2 = c.rho * z[:, 0] + np.sqrt(1.0 - c.rho ** 2) * z[:, 1]
-        u = np.column_stack([special.ndtr(z[:, 0]), special.ndtr(z2)])
-        return PseudoObservations(_clip_open(u))
-
-    if c.family == STUDENT_T:
-        z = rng.standard_normal((n, 2))
-        z2 = c.rho * z[:, 0] + np.sqrt(1.0 - c.rho ** 2) * z[:, 1]
-        g = rng.chisquare(c.nu, n) / c.nu
-        x = np.column_stack([z[:, 0], z2]) / np.sqrt(g)[:, None]
-        u = stats.t.cdf(x, c.nu)
-        return PseudoObservations(_clip_open(u))
+        x = np.column_stack([z[:, 0], c.rho * z[:, 0] + np.sqrt(1.0 - c.rho ** 2) * z[:, 1]])
+        if c.family == GAUSSIAN:
+            return PseudoObservations(_clip_open(special.ndtr(x)))
+        x /= np.sqrt(rng.chisquare(c.nu, n) / c.nu)[:, None]
+        return PseudoObservations(_clip_open(stats.t.cdf(x, c.nu)))
 
     if c.family == FRANK:
         th = c.theta
@@ -348,16 +346,17 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
         return PseudoObservations(_clip_open(np.column_stack([u1, u2])))
 
     if c.family == DIRICHLET11A:
-        g = np.column_stack([
-            rng.standard_gamma(1.0, n),
-            rng.standard_gamma(1.0, n),
-            rng.standard_gamma(c.a, n),
-        ])
-        x = g[:, :2] / g.sum(axis=1)[:, None]
-        u = 1.0 - (1.0 - x) ** (c.a + 1.0)
+        u = 1.0 - (1.0 - _dirichlet_draws(c.a, n, rng)) ** (c.a + 1.0)
         return PseudoObservations(_clip_open(u))
 
     raise ValueError(f"cannot sample from {c.family!r}")
+
+
+def _dirichlet_draws(a: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first two coordinates of n Dirichlet(1, 1, a) draws, as gamma
+    ratios: an (n, 2) array of points in the 2-simplex."""
+    g = np.column_stack([rng.standard_gamma(1.0, n), rng.standard_gamma(1.0, n), rng.standard_gamma(a, n)])
+    return g[:, :2] / g.sum(axis=1)[:, None]
 
 
 def _clip_open(u: np.ndarray) -> np.ndarray:
@@ -397,21 +396,9 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
         hi = min(_RHO_MAX, rho0 + 0.25)
         best = None
         for nu in NU_GRID_COPULA:
-            x = stats.t.ppf(u, nu)
-            y = stats.t.ppf(v, nu)
-            log_num = (
-                special.gammaln((nu + 2.0) / 2.0)
-                + special.gammaln(nu / 2.0)
-                - 2.0 * special.gammaln((nu + 1.0) / 2.0)
-            )
-            marg = (nu + 1.0) / 2.0 * (np.log1p(x * x / nu) + np.log1p(y * y / nu))
-
-            def nll(r):
-                quad = (x * x - 2.0 * r * x * y + y * y) / (1.0 - r * r)
-                ll = log_num - 0.5 * np.log(1.0 - r * r) - (nu + 2.0) / 2.0 * np.log1p(quad / nu) + marg
-                return -float(np.sum(ll))
-
-            res = optimize.minimize_scalar(nll, bounds=(lo, hi), method="bounded", options={"xatol": 1e-6})
+            log_c = _t_log_density(stats.t.ppf(u, nu), stats.t.ppf(v, nu), nu)
+            res = optimize.minimize_scalar(lambda r: -float(np.sum(log_c(r))), bounds=(lo, hi), method="bounded",
+                                           options={"xatol": 1e-6})
             if best is None or -res.fun > best[2]:
                 best = (float(res.x), float(nu), -float(res.fun))
         rho, nu, ll = best
@@ -428,7 +415,7 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
     if not res.success:
         raise RuntimeError(f"copula MLE did not converge for {family}: {res.message}")
     param = float(res.x)
-    ll = loglik(param)
+    ll = -float(res.fun)  # the bounded search returns fun = f(x) for its x
     if family == FRANK and abs(param) < 1e-8:
         param = 1e-8 if param >= 0 else -1e-8  # keep theta != 0; near-independence
     return make(param), ll

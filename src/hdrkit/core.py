@@ -146,6 +146,11 @@ def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
     return np.take_along_axis(cand, order[:, :k], axis=1)
 
 
+def _check_alpha(alpha: float):
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must be in (0, 1)")
+
+
 def threshold_index(n: int, alpha: float, orientation: Orientation) -> int:
     """1-based ascending order-statistic rank of the HDR score threshold.
 
@@ -155,8 +160,7 @@ def threshold_index(n: int, alpha: float, orientation: Orientation) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     # the 1e-9 nudge undoes float representation error in alpha*n
     # (e.g. 0.29*100 == 28.999999999999996)
     if orientation is Orientation.CONCENTRATION:

@@ -42,6 +42,8 @@ BETA11A = "beta11a"
 
 # profile-likelihood grid for t degrees of freedom (marginal fits)
 NU_GRID = np.arange(1.0, 30.0 + 0.25, 0.5)
+# mixture EM stops once a step gains less log-likelihood than _EM_TOL, or after _EM_MAX_ITER steps
+_EM_TOL, _EM_MAX_ITER = 1e-8, 500
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def fit_marginal_mle(column, family: str) -> FitReport:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _em_mixture(x: np.ndarray, mu1: float, mu2: float, tol: float = 1e-8, max_iter: int = 500):
+def _em_mixture(x: np.ndarray, mu1: float, mu2: float):
     """EM for a two-component shared-sigma normal mixture.
 
     Returns ``(w, mu1, mu2, sigma, loglik_trace, converged)``; the trace is
@@ -229,7 +231,7 @@ def _em_mixture(x: np.ndarray, mu1: float, mu2: float, tol: float = 1e-8, max_it
     sigma = max(np.std(x) / 2.0, 1e-3)
     trace = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         # E step
         la = np.log(w) + stats.norm.logpdf(x, mu1, sigma)
         lb = np.log1p(-w) + stats.norm.logpdf(x, mu2, sigma)
@@ -247,7 +249,7 @@ def _em_mixture(x: np.ndarray, mu1: float, mu2: float, tol: float = 1e-8, max_it
         mu2 = float(np.sum((1.0 - r) * x) / n2)
         var = float(np.sum(r * (x - mu1) ** 2 + (1.0 - r) * (x - mu2) ** 2) / n)
         sigma = max(np.sqrt(var), 1e-8)
-        if len(trace) >= 2 and trace[-1] - trace[-2] < tol:
+        if len(trace) >= 2 and trace[-1] - trace[-2] < _EM_TOL:
             converged = True
             break
     return w, mu1, mu2, sigma, trace, converged
@@ -300,20 +302,16 @@ def bvn_cdf(rho: float, x, y):
         raise ValueError("|rho| must be < 1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    base = special.ndtr(x) * special.ndtr(y)
-    if rho == 0.0:
-        out = base
-    else:
-        r = 0.5 * rho * (_BVN_X + 1.0)
-        wr = 0.5 * rho * _BVN_W
-        xx = x[..., None]
-        yy = y[..., None]
-        # exp argument is -inf at infinite x or y; that term contributes 0
-        with np.errstate(invalid="ignore"):
-            quad_arg = -(xx * xx - 2.0 * r * xx * yy + yy * yy) / (2.0 * (1.0 - r * r))
-        quad_arg = np.where(np.isnan(quad_arg), -np.inf, quad_arg)
-        integ = np.exp(quad_arg) / np.sqrt(1.0 - r * r)
-        out = base + (integ * wr).sum(axis=-1) / (2.0 * np.pi)
+    r = 0.5 * rho * (_BVN_X + 1.0)
+    wr = 0.5 * rho * _BVN_W
+    xx = x[..., None]
+    yy = y[..., None]
+    # exp argument is -inf at infinite x or y; that term contributes 0
+    with np.errstate(invalid="ignore"):
+        quad_arg = -(xx * xx - 2.0 * r * xx * yy + yy * yy) / (2.0 * (1.0 - r * r))
+    quad_arg = np.where(np.isnan(quad_arg), -np.inf, quad_arg)
+    integ = np.exp(quad_arg) / np.sqrt(1.0 - r * r)
+    out = special.ndtr(x) * special.ndtr(y) + (integ * wr).sum(axis=-1) / (2.0 * np.pi)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -268,8 +268,6 @@ class _KnnCdfState:
         self.f_pts = self.ecdf.counts(pts) / self.ecdf.n  # ECDF values of the sample points themselves
 
     def score(self, q: np.ndarray) -> np.ndarray:
-        if self.k == 1:
-            return np.zeros(q.shape[0])
         n = self.pts.shape[0]
         k = self.k
         fq = self.ecdf.counts(q) / n

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import copulas, distributions as dists
-from .core import Orientation, Sample2D, threshold_index
+from .core import Orientation, Sample2D, _check_alpha, threshold_index
 
 __all__ = [
     "Scenario",
@@ -100,13 +100,7 @@ def sample_scenario(s: Scenario, n: int, rng: np.random.Generator) -> Sample2D:
     if n < 1:
         raise ValueError("n must be >= 1")
     if s.is_simplex:
-        a = s.copula.a
-        g = np.column_stack([
-            rng.standard_gamma(1.0, n),
-            rng.standard_gamma(1.0, n),
-            rng.standard_gamma(a, n),
-        ])
-        return Sample2D(g[:, :2] / g.sum(axis=1)[:, None])
+        return Sample2D(copulas._dirichlet_draws(s.copula.a, n, rng))
     u = copulas.copula_sample(s.copula, n, rng).u
     x1 = dists.marginal_quantile(s.marginals[0], u[:, 0])
     x2 = dists.marginal_quantile(s.marginals[1], u[:, 1])
@@ -151,8 +145,7 @@ class TruthOracle:
 def build_truth_oracle(s: Scenario, alpha: float, ref_size: int, rng: np.random.Generator) -> TruthOracle:
     if ref_size < 10 ** 5:
         raise ValueError("ref_size must be at least 1e5")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+    _check_alpha(alpha)
     ref = sample_scenario(s, ref_size, rng)
     dens = np.sort(true_density(s, ref.points))
     rank = threshold_index(ref_size, alpha, Orientation.CONCENTRATION)

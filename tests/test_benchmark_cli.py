@@ -98,6 +98,23 @@ class TestBenchOutputs:
         assert "error: repeated" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("flag,value,what", [("--scenarios", ",", "scenarios"), ("--n", "", "sizes"),
+                                                 ("--measures", "", "measures")])
+    def test_empty_config_value_usage_error(self, tmp_path, capsys, monkeypatch, flag, value, what):
+        builds = []
+        monkeypatch.setattr(benchmark.scen, "build_truth_oracle", lambda *a: builds.append(a[0].id))
+        args = {"--scenarios": "S2", "--n": "50", "--measures": "m1", flag: value}
+        code = main(["bench", *[t for kv in args.items() for t in kv], "--reps", "2", "--ref-size", "100000",
+                     "--workers", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"error: no {what} given" in capsys.readouterr().err
+        assert builds == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_measures_rejected_by_config(self):
+        with pytest.raises(ValueError, match="no measures given"):
+            RunConfig(scenarios=("S2",), ns=(50,), measures=())
+
     @pytest.mark.parametrize("args,message", [
         (["bench", "--scenarios", "S2,S17", "--n", "50", "--measures", "m3-ecdf", "--eps", "-1"],
          "eps must be positive"),
@@ -282,6 +299,13 @@ class TestApply:
             main(["simulate", "--scenario", "S2", "--n", "50", "--seed", "11", "--out", str(p)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_simulate_bad_size_usage_error(self, tmp_path, capsys, n):
+        code = main(["simulate", "--scenario", "S2", "--n", n, "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert "error: n must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_specs_match_bench_specs(self, monkeypatch):
         # S2 has normal marginals on an unbounded support, apply's defaults
         specs = []
@@ -330,6 +354,17 @@ class TestApply:
                      "--measures", "m1", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert ":3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scale", ["zscore", "none"])
+    def test_non_finite_cell_reports_line(self, tmp_path, capsys, cell, scale):
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n" + "".join(f"{i},{i * i % 7}\n" for i in range(30)) + f"3,{cell}\n")
+        code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--scale", scale,
+                     "--measures", "m1", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"{f}:32: non-finite value in 'a'/'b'" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_rows_dropped(self, tmp_path, caplog):
         f = tmp_path / "d.csv"

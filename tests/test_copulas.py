@@ -197,6 +197,14 @@ class TestSampling:
         rho_s = stats.spearmanr(u[:, 0], u[:, 1]).statistic
         assert abs(rho_s - 6.0 / math.pi * math.asin(RHO / 2.0)) < 0.01
 
+    def test_dirichlet_copula_maps_the_s17_draws(self):
+        # one gamma-ratio draw: the copula pushes S17's points through the Beta(1, a + 1) CDF
+        from hdrkit import scenarios
+
+        pts = scenarios.sample_scenario(scenarios.scenario("S17"), 500, np.random.default_rng(4)).points
+        u = C.copula_sample(C.dirichlet11a(2.0), 500, np.random.default_rng(4)).u
+        assert np.array_equal(u, np.clip(1.0 - (1.0 - pts) ** 3.0, 1e-15, 1.0 - 1e-15))
+
     def test_zero_draws_errors(self):
         with pytest.raises(ValueError):
             C.copula_sample(C.independence(), 0, np.random.default_rng(0))
@@ -218,6 +226,16 @@ class TestFitting:
         u = C.copula_sample(C.gaussian(RHO), 10 ** 4, np.random.default_rng(10))
         model, _ = C.fit_copula_mle(u, "gaussian")
         assert abs(model.rho - RHO) < 0.02
+
+    @pytest.mark.parametrize("family", ["gaussian", "frank", "clayton", "student_t"])
+    def test_loglik_is_the_log_density_sum_at_the_fit(self, family):
+        pseudo = C.copula_sample(TAU_FAMILIES[family], 300, np.random.default_rng(13))
+        model, ll = C.fit_copula_mle(pseudo, family)
+        direct = float(np.sum(np.log(C.copula_pdf(model, pseudo.u[:, 0], pseudo.u[:, 1]))))
+        if family == "student_t":  # the profile sums log-densities; copula_pdf exponentiates them
+            assert_allclose(ll, direct, rtol=1e-12)
+        else:
+            assert ll == direct
 
     def test_aic_selects_clayton(self):
         u = C.copula_sample(C.clayton(2.0), 10 ** 4, np.random.default_rng(11))

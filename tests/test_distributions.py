@@ -145,6 +145,14 @@ class TestBvnCdf:
     def test_independence_origin(self):
         assert_allclose(D.bvn_cdf(0.0, 0.0, 0.0), 0.25, atol=1e-12)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.0])
+    def test_independence_is_the_product_exactly(self, rho):
+        from scipy.special import ndtr
+
+        x = np.array([-np.inf, -3.0, -0.5, 0.0, 0.5, 3.0, np.inf])
+        xx, yy = np.meshgrid(x, x)
+        assert np.array_equal(D.bvn_cdf(rho, xx, yy), ndtr(xx) * ndtr(yy))
+
     def test_far_tail(self):
         assert_allclose(D.bvn_cdf(0.5, 8.0, 8.0), 1.0, atol=1e-7)
 

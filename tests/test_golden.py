@@ -1,0 +1,65 @@
+"""Golden output digests: the sha256 of each CLI output on a fixed set of
+runs. A refactor that claims to keep every output bit must keep these; a
+declared output change updates them in the same diff.
+
+The digests were recorded with the numpy and scipy versions below; with any
+other version the floating-point bits may legitimately differ, so the check
+is skipped."""
+
+import hashlib
+
+import numpy as np
+import pytest
+import scipy
+
+from hdrkit.cli import main
+
+RECORDED_VERSIONS = ("2.4.6", "1.17.1")
+
+pytestmark = pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != RECORDED_VERSIONS,
+    reason=f"digests recorded with numpy/scipy {'/'.join(RECORDED_VERSIONS)}",
+)
+
+_COMMON = ["--seed", "42", "--ref-size", "100000", "--workers", "2"]
+
+GOLDEN = {
+    "bench": "ff49cb24c76ac334c38be043d379cc53bdb4dcdb15d1e2e6a0efe11444736de5",
+    "bench-summary": "fcf5a10bd29e903cedd76a2ef731158924a65313e0baaa796743704a086c279f",
+    "tune-s2-m1": "a325fd69d38ab72e0c28bc3f996277092fbb42c70f98d1bbe6205ff70674db5b",
+    "tune-s17-m3-ecdf": "027b78bc1f00f22d16c8d65cd60e2fed771dc96cef9d4f94601ed00cc7106b12",
+    "simulate-s16": "21c9059da0d0571fdd74c0951b6f7addb61f79d853e10f21316967a73498512b",
+    "simulate-s17": "47e1b7d30e8f5188ea0fc64cc92eaccf62794d5c6881d1caf1b4386f7e4bc814",
+    "apply-labels": "f5affa04bb1253bcf613b6516b70f9018888ea32ef176eac9127df72c9c5504b",
+    "apply-svg": "7a66c9134fc1a112233fc0f1be256086e82b0a97adbd9889c88d59a8d4d15df8",
+}
+
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    runs = [
+        ["bench", "--scenarios", "S1,S6,S10,S14,S17", "--n", "60", "--measures", "all", "--reps", "2",
+         "--out", str(d / "bench"), "--summary", str(d / "bench-summary"), *_COMMON],
+        ["tune", "--scenario", "S2", "--n", "60", "--measure", "m1", "--grid", "1:10", "--reps", "3",
+         "--out", str(d / "tune-s2-m1"), *_COMMON],
+        ["tune", "--scenario", "S17", "--n", "60", "--measure", "m3-ecdf", "--grid", "0.02,0.05,0.1,0.2",
+         "--reps", "3", "--out", str(d / "tune-s17-m3-ecdf"), *_COMMON],
+        ["simulate", "--scenario", "S16", "--n", "200", "--seed", "42", "--out", str(d / "simulate-s16")],
+        ["simulate", "--scenario", "S17", "--n", "200", "--seed", "42", "--out", str(d / "simulate-s17")],
+        ["simulate", "--scenario", "S6", "--n", "400", "--seed", "1", "--out", str(d / "s6")],
+        ["apply", "--input", str(d / "s6"), "--x", "x1", "--y", "x2", "--measures", "all",
+         "--out", str(d / "apply-labels"), "--svg", str(d / "apply-svg")],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    return {name: _digest(d / name) for name in GOLDEN}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(digests, name):
+    assert digests[name] == GOLDEN[name]

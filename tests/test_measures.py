@@ -195,6 +195,14 @@ class TestKnnScores:
         f = M.fit_measure(M.MeasureSpec("m2", k=1), samp)
         assert np.all(f.score(samp.points) == 0.0)
 
+    def test_m2_k1_zero_off_sample_and_with_duplicates(self):
+        rng = np.random.default_rng(5)
+        pts = rng.normal(size=(40, 2))
+        pts[7] = pts[3]
+        f = M.fit_measure(M.MeasureSpec("m2", k=1), Sample2D(pts))
+        queries = np.vstack([pts, rng.normal(size=(25, 2))])
+        assert np.array_equal(f.score(queries), np.zeros(len(queries)))
+
     def test_m2_two_point_value(self):
         samp = Sample2D([(0, 0), (1, 1)])
         f = M.fit_measure(M.MeasureSpec("m2", k=2), samp)
