@@ -1,18 +1,17 @@
 """Monte Carlo benchmark engine, hyperparameter tuning, and CSV application.
 
 Reproducibility contract: every replicate draws from an RNG stream keyed by
-``(seed, scenario, n, measure, replicate)`` through a SHA-256 stable hash
+``(seed, scenario, n, "sample", replicate)`` through a SHA-256 stable hash
 into a numpy SeedSequence feeding a Philox counter-based generator. Streams
 never depend on worker scheduling, so results are identical for any worker
 count, and reruns are byte-identical.
 
-A replicate draws its sample and labels the sample's truth once, then
-evaluates each ``(k, eps)`` setting it is given on that sample (fit,
-score, threshold, classify, metrics). Neither the truth oracle nor the
-replicate stream depends on a hyperparameter, so both commands run through
-one grid runner, ``_run_grid``, which builds each oracle once: ``run_tune``
-hands every replicate its whole grid, and ``run_bench`` hands each
-replicate the run's one setting.
+A replicate is one (scenario, n, replicate). It draws its sample and labels
+the sample's truth once, then evaluates every measure and ``(k, eps)``
+setting of the run on that sample (fit, score, threshold, classify,
+metrics), so the measures are compared on the same data and a fit that
+several measures share is made once. ``bench`` and ``tune`` run through one
+grid runner, ``_run_grid``, which builds each scenario's oracle once.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ def _stable_key(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
 
 
-def replicate_rng(seed: int, scenario_id: str, n: int, measure: str, replicate: int) -> np.random.Generator:
-    """Independent, scheduler-agnostic stream for one benchmark replicate."""
-    entropy = [seed & 0xFFFFFFFFFFFFFFFF, _stable_key(scenario_id), n, _stable_key(measure), replicate]
+def replicate_rng(seed: int, scenario_id: str, n: int, stream: str, replicate: int) -> np.random.Generator:
+    """Independent, scheduler-agnostic stream; ``bench`` and ``tune`` draw from ``stream="sample"``."""
+    entropy = [seed & 0xFFFFFFFFFFFFFFFF, _stable_key(scenario_id), n, _stable_key(stream), replicate]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
@@ -128,14 +127,14 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def run_replicate(s: scen.Scenario, n: int, measure: str, replicate: int, oracle: scen.TruthOracle,
+def run_replicate(s: scen.Scenario, n: int, oracle: scen.TruthOracle, replicate: int,
                   seed: int, alpha: float, specs) -> list:
-    """One replicate: draw and truth-label its sample once, then fit, score,
-    threshold, classify and compare with truth for each filled spec in
-    ``specs``. Returns one record per spec, in order; a record's wall time
-    covers the draw plus its own evaluation."""
+    """One replicate: draw and truth-label its sample once, then fit, score, threshold,
+    classify and compare with truth for each filled spec in ``specs``. Returns one record
+    per spec, in order; its wall time covers the draw plus its own evaluation, and a fit
+    that specs share counts in the first spec that makes it."""
     t0 = time.perf_counter()
-    sample = scen.sample_scenario(s, n, replicate_rng(seed, s.id, n, measure, replicate))
+    sample = scen.sample_scenario(s, n, replicate_rng(seed, s.id, n, "sample", replicate))
     truth = scen.label_truth(oracle, s, sample.points)
     draw_s = time.perf_counter() - t0
     records = []
@@ -146,16 +145,16 @@ def run_replicate(s: scen.Scenario, n: int, measure: str, replicate: int, oracle
         row = metrics(confusion(classify(estimate_hdr(scores, alpha), scores.scores), truth))
         ms = (draw_s + time.perf_counter() - t0) * 1e3
         records.append(ResultRecord(
-            s.id, n, measure, replicate, row.as_tuple(),
+            s.id, n, spec.kind, replicate, row.as_tuple(),
             _fmt_hyper(fitted.hyperparams), fitted.fitted_copula_family or "", ms,
         ))
     return records
 
 
 def _run_batch(args):
-    sid, n, measure, rep_lo, rep_hi, oracle, seed, alpha, specs = args
+    sid, n, rep_lo, rep_hi, oracle, seed, alpha, specs = args
     s = scen.scenario(sid)
-    return [run_replicate(s, n, measure, r, oracle, seed, alpha, specs) for r in range(rep_lo, rep_hi)]
+    return [run_replicate(s, n, oracle, r, seed, alpha, specs) for r in range(rep_lo, rep_hi)]
 
 
 def _batches(reps: int, workers: int):
@@ -179,26 +178,28 @@ def _summarize(rows):
 
 
 def _run_grid(config: RunConfig, settings) -> list:
-    """Per-replicate record lists in (scenario, n, measure, replicate)
-    order, each holding one record per ``(k, eps)`` in ``settings``.
+    """Records in (scenario, n, measure, replicate) order, one per ``(k,
+    eps)`` in ``settings`` in turn.
 
-    Each (scenario, n, measure) cell's specs, one per setting, are built
+    Each (scenario, n) cell's specs, one per measure and setting, are built
     and filled once, before any truth oracle, so that a bad override or
-    size fails first; the cell's batches carry them. Each scenario's oracle
-    is then built once. The order needs no sort: the tasks are listed in
-    it, ``_map`` keeps task order, and each batch returns its replicates in
-    order.
+    size fails first; the cell's batches carry them, and each replicate
+    scores all of them on its one sample. Each scenario's oracle is then
+    built once. ``_map`` keeps task order, so a stable sort by cell and
+    measure gives the record order.
     """
     scens = [scen.scenario(sid) for sid in config.scenarios]
-    specs = {(s.id, n, m): [meas.fill_spec(measure_spec_for(s, m, k=k, eps=eps), n) for k, eps in settings]
-             for s in scens for n in config.ns for m in config.measures}
+    specs = {(s.id, n): [meas.fill_spec(measure_spec_for(s, m, k=k, eps=eps), n)
+                         for m in config.measures for k, eps in settings] for s in scens for n in config.ns}
     oracles = {}
     for s in scens:
         oracles[s.id] = scen.build_truth_oracle(s, config.alpha, config.ref_size, oracle_rng(config.seed, s.id))
         log.info("truth oracle %s: f_alpha=%.6g (ref_size=%d)", s.id, oracles[s.id].f_alpha, config.ref_size)
-    tasks = [(sid, n, m, lo, hi, oracles[sid], config.seed, config.alpha, cell)
-             for (sid, n, m), cell in specs.items() for lo, hi in _batches(config.reps, config.workers)]
-    return [recs for chunk in _map(_run_batch, tasks, config.workers) for recs in chunk]
+    tasks = [(sid, n, lo, hi, oracles[sid], config.seed, config.alpha, cell)
+             for (sid, n), cell in specs.items() for lo, hi in _batches(config.reps, config.workers)]
+    records = [rec for chunk in _map(_run_batch, tasks, config.workers) for recs in chunk for rec in recs]
+    cell_pos = {key: i for i, key in enumerate(specs)}
+    return sorted(records, key=lambda r: (cell_pos[r.scenario, r.n], config.measures.index(r.measure)))
 
 
 def run_bench(config: RunConfig):
@@ -208,11 +209,9 @@ def run_bench(config: RunConfig):
     list ordered by (scenario, n, measure, replicate) and summary maps
     (scenario, n, measure) to per-metric (mean, sd) pairs.
     """
-    records = [rec for (rec,) in _run_grid(config, [(config.k_override, config.eps_override)])]
-    cells = {}
-    for r in records:
-        cells.setdefault((r.scenario, r.n, r.measure), []).append(MetricsRow(*r.row))
-    summary = {key: _summarize(rows) for key, rows in cells.items()}
+    records = _run_grid(config, [(config.k_override, config.eps_override)])
+    summary = {key: _summarize([MetricsRow(*r.row) for r in cell])
+               for key, cell in itertools.groupby(records, key=lambda r: (r.scenario, r.n, r.measure))}
     return records, summary
 
 
@@ -259,23 +258,24 @@ def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float 
     """Mean metrics per hyperparameter grid value (k for the kNN measures,
     eps for the box measures).
 
-    The truth oracle is built once, and each replicate's sample is drawn and
-    truth-labelled once and shared by every grid value; only fit, score,
-    threshold, classify and metrics run per value. Each value's mean equals
-    ``run_bench`` with that value as its override.
+    Each replicate's sample is drawn and truth-labelled once and shared by
+    every grid value. Each value's mean equals ``run_bench`` with that
+    value as its override.
     """
     config = RunConfig(scenarios=(sid,), ns=(n,), measures=(measure,), reps=reps, alpha=alpha, seed=seed,
                        ref_size=ref_size, workers=workers)
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
+    if len(set(grid)) < len(grid):  # by value: 2.0 repeats 2
+        raise ValueError(f"repeated grid value in {', '.join(map(str, grid))}")
     param = meas.tuned_param(measure)
     if param is None:
         raise ValueError(f"measure {measure} has no tunable hyperparameter")
-    per_rep = _run_grid(config, [(g, None) if param == "k" else (None, g) for g in grid])
+    records = _run_grid(config, [(g, None) if param == "k" else (None, g) for g in grid])
     return param, [
         (g, {name: mean for name, (mean, _sd) in
-             _summarize([MetricsRow(*recs[i].row) for recs in per_rep]).items()})
+             _summarize([MetricsRow(*r.row) for r in records[i::len(grid)]]).items()})
         for i, g in enumerate(grid)
     ]
 

@@ -38,13 +38,14 @@ class TestDeterminism:
         assert out1.read_bytes() == out4.read_bytes()
 
     def test_replicate_streams_independent_of_measure_order(self):
-        cfg_a = RunConfig(scenarios=("S2",), ns=(60,), measures=("m0-kde", "m1"), **FAST)
-        cfg_b = RunConfig(scenarios=("S2",), ns=(60,), measures=("m1", "m0-kde"), **FAST)
-        rec_a, _ = run_bench(cfg_a)
-        rec_b, _ = run_bench(cfg_b)
-        rows_a = {(r.measure, r.replicate): r.row for r in rec_a}
-        rows_b = {(r.measure, r.replicate): r.row for r in rec_b}
-        assert rows_a == rows_b
+        def rows(measures):
+            records, _ = run_bench(RunConfig(scenarios=("S2",), ns=(60,), measures=measures, **FAST))
+            return {(r.measure, r.replicate): r.row for r in records}
+
+        rows_a = rows(("m0-kde", "m1"))
+        assert rows_a == rows(("m1", "m0-kde"))
+        # a subset of the measures scores the same samples
+        assert {key: row for key, row in rows_a.items() if key[0] == "m1"} == rows(("m1",))
 
     def test_rng_streams_distinct(self):
         a = replicate_rng(1, "S2", 50, "m1", 0).random(4)
@@ -131,6 +132,11 @@ class TestBenchOutputs:
         (["bench", "--scenarios", "S2", "--n", "1", "--measures", "m0-kde"], "m0-kde needs at least 2 points"),
         (["bench", "--scenarios", "S2", "--n", "1", "--measures", "m2"], "m2 needs at least 2 points"),
         (["bench", "--scenarios", "S2", "--n", "0", "--measures", "m0-kde"], "m0-kde needs at least 2 points"),
+        (["tune", "--scenario", "S2", "--measure", "m1", "--n", "40", "--grid", "3,3"], "repeated grid value in 3, 3"),
+        (["tune", "--scenario", "S2", "--measure", "m1", "--n", "40", "--grid", "2.0,2"],
+         "repeated grid value in 2.0, 2"),
+        (["tune", "--scenario", "S2", "--measure", "m3-ecdf", "--n", "40", "--grid", "0.05,0.1,0.050"],
+         "repeated grid value in 0.05, 0.1, 0.05"),
     ])
     def test_bad_override_fails_before_any_oracle(self, tmp_path, capsys, monkeypatch, args, message):
         builds = []
@@ -199,7 +205,7 @@ class TestTune:
     def test_one_replicate_call_per_replicate(self, monkeypatch):
         calls = []
         run = benchmark.run_replicate
-        # positional only: the traced benchmark reads (scenario, n, measure, replicate) from args[:4]
+        # positional only: the traced benchmark reads (scenario, n, _, replicate) from args[:4]
         monkeypatch.setattr(benchmark, "run_replicate", lambda *a: calls.append(a[3]) or run(*a))
         _, rows = run_tune("S2", 40, "m1", [2, 3, 5], **dict(FAST, workers=1))
         assert len(rows) == 3
@@ -218,11 +224,14 @@ class TestTune:
         assert main([*args, "--grid", "2.5,2", "--out", str(tmp_path / "a.csv")]) == 2
         assert "error: k must be a whole number, got 2.5" in capsys.readouterr().err
         assert not (tmp_path / "a.csv").exists()
-        assert main([*args, "--grid", "2.0,2", "--out", str(tmp_path / "b.csv")]) == 0
-        with open(tmp_path / "b.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r.pop("value") for r in rows] == ["2.0", "2"]
-        assert rows[0] == rows[1]
+        rows = {}
+        for grid in ("2.0,3", "2,3"):
+            assert main([*args, "--grid", grid, "--out", str(tmp_path / "b.csv")]) == 0
+            with open(tmp_path / "b.csv") as fh:
+                rows[grid] = list(csv.DictReader(fh))
+        assert [r.pop("value") for r in rows["2.0,3"]] == ["2.0", "3"]
+        assert [r.pop("value") for r in rows["2,3"]] == ["2", "3"]
+        assert rows["2.0,3"] == rows["2,3"]
 
     def test_cli_worker_count_byte_identical(self, tmp_path):
         outs = []
@@ -236,13 +245,13 @@ class TestTune:
 
 class TestReplicate:
     @pytest.mark.parametrize("sid,measure,settings", [
-        ("S2", "m1", [(3, None), (9, None)]),
-        ("S17", "m3-pcop", [(None, 0.05), (None, 0.2)]),
+        ("S2", "m1", [(1, None), (30, None)]),
+        ("S17", "m3-pcop", [(None, 0.005), (None, 1.0)]),
     ])
     def test_settings_match_one_setting_calls(self, sid, measure, settings):
         s = hk.scenario(sid)
         oracle = hk.build_truth_oracle(s, 0.05, 10 ** 5, benchmark.oracle_rng(42, sid))
-        args = (s, 60, measure, 3, oracle, 42, 0.05)
+        args = (s, 60, oracle, 3, 42, 0.05)
         specs = [benchmark.meas.fill_spec(measure_spec_for(s, measure, k=k, eps=eps), 60) for k, eps in settings]
         together = benchmark.run_replicate(*args, specs)
         apart = [rec for spec in specs for rec in benchmark.run_replicate(*args, [spec])]
@@ -251,7 +260,35 @@ class TestReplicate:
             return r.scenario, r.n, r.measure, r.replicate, r.row, r.hyperparams, r.fitted_copula_family
 
         assert [key(r) for r in together] == [key(r) for r in apart]
+        assert {r.measure for r in together} == {measure}
         assert together[0].row != together[1].row
+
+
+class TestPairedReplicates:
+    """Every measure of a run scores the one sample of each (scenario, n,
+    replicate)."""
+
+    def test_one_draw_and_label_per_replicate(self, monkeypatch):
+        draws, labels = [], []
+        draw, label = benchmark.scen.sample_scenario, benchmark.scen.label_truth
+        monkeypatch.setattr(benchmark.scen, "sample_scenario",
+                            lambda s, n, rng: draws.append((s.id, n)) or draw(s, n, rng))
+        monkeypatch.setattr(benchmark.scen, "label_truth",
+                            lambda oracle, s, pts: labels.append((s.id, len(pts))) or label(oracle, s, pts))
+        config = RunConfig(scenarios=("S2", "S17"), ns=(40, 60), measures=("m0-kde", "m1", "m3-ecdf"),
+                           **dict(FAST, reps=3))
+        records, _ = run_bench(config)
+        per_replicate = [(sid, n) for sid in ("S2", "S17") for n in (40, 60) for _ in range(3)]
+        assert [d for d in draws if d[1] != FAST["ref_size"]] == per_replicate  # the rest build the oracles
+        assert labels == per_replicate
+        assert len(records) == len(per_replicate) * 3
+
+    def test_pcop_kinds_share_one_parametric_fit(self, monkeypatch):
+        fits = []
+        select = benchmark.meas.copulas.select_copula_aic
+        monkeypatch.setattr(benchmark.meas.copulas, "select_copula_aic", lambda p: fits.append(p) or select(p))
+        run_bench(RunConfig(scenarios=("S1",), ns=(60,), measures=("m0-pcop", "m3-pcop"), **dict(FAST, reps=3)))
+        assert len(fits) == 3
 
 
 def _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, n, message, *args):

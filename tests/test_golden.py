@@ -24,10 +24,10 @@ pytestmark = pytest.mark.skipif(
 _COMMON = ["--seed", "42", "--ref-size", "100000", "--workers", "2"]
 
 GOLDEN = {
-    "bench": "ff49cb24c76ac334c38be043d379cc53bdb4dcdb15d1e2e6a0efe11444736de5",
-    "bench-summary": "fcf5a10bd29e903cedd76a2ef731158924a65313e0baaa796743704a086c279f",
-    "tune-s2-m1": "a325fd69d38ab72e0c28bc3f996277092fbb42c70f98d1bbe6205ff70674db5b",
-    "tune-s17-m3-ecdf": "027b78bc1f00f22d16c8d65cd60e2fed771dc96cef9d4f94601ed00cc7106b12",
+    "bench": "6d404ac64ed90a2dcb36d57ec502e36230fdce869da69c3397ea32e20a701f0a",
+    "bench-summary": "70d01cd0a8d019ccf2e9121259acaae211096101fbf5928fbe09fef6a3031f3d",
+    "tune-s2-m1": "bef347b1838dde3fa94a85511761ae409473909b4c461c7ed2d8981e94f873b9",
+    "tune-s17-m3-ecdf": "409818493b13e913035490fbdb6f37fa429243989ad2fc8dd1320835a836ccce",
     "simulate-s16": "21c9059da0d0571fdd74c0951b6f7addb61f79d853e10f21316967a73498512b",
     "simulate-s17": "47e1b7d30e8f5188ea0fc64cc92eaccf62794d5c6881d1caf1b4386f7e4bc814",
     "apply-labels": "f5affa04bb1253bcf613b6516b70f9018888ea32ef176eac9127df72c9c5504b",
