@@ -63,6 +63,11 @@ def oracle_rng(seed: int, scenario_id: str) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _check_distinct(what: str, values):
+    if len(set(values)) < len(values):
+        raise ValueError(f"repeated {what} in {', '.join(map(str, values))}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     scenarios: tuple
@@ -82,8 +87,7 @@ class RunConfig:
         for what, values in (("scenario", self.scenarios), ("size", self.ns), ("measure", self.measures)):
             if not values:
                 raise ValueError(f"no {what}s given")
-            if len(set(values)) < len(values):
-                raise ValueError(f"repeated {what} in {', '.join(map(str, values))}")
+            _check_distinct(what, values)
         for m in self.measures:
             if m not in meas.MEASURE_KINDS:
                 raise ValueError(f"unknown measure {m!r} (choose from {', '.join(meas.MEASURE_KINDS)})")
@@ -267,8 +271,7 @@ def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float 
     grid = list(grid)
     if not grid:
         raise ValueError("empty grid")
-    if len(set(grid)) < len(grid):  # by value: 2.0 repeats 2
-        raise ValueError(f"repeated grid value in {', '.join(map(str, grid))}")
+    _check_distinct("grid value", grid)  # by value: 2.0 repeats 2
     param = meas.tuned_param(measure)
     if param is None:
         raise ValueError(f"measure {measure} has no tunable hyperparameter")
@@ -302,6 +305,7 @@ class ApplyResult:
 def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None) -> ApplyResult:
     """Fit each requested measure on the points, estimate its HDR, and form
     the strict-majority consensus labels."""
+    _check_distinct("measure", measure_tokens)  # a repeat would vote twice
     sample = Sample2D(points)
     # alpha and every spec, filled for this sample, are checked before any
     # fit; external data carries no true family, so normal marginals are the

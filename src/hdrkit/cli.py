@@ -2,9 +2,10 @@
 application to external CSV data, and scenario simulation.
 
 CSV conventions: mandatory header row, comma delimiter, '.' decimal point,
-UTF-8, floats serialized with the shortest representation that round-trips
-bit-exactly. All commands are pure functions of their flags and input
-files; reruns (at any worker count) produce byte-identical outputs.
+UTF-8 (an input's leading byte-order mark is skipped), floats serialized
+with the shortest representation that round-trips bit-exactly. All
+commands are pure functions of their flags and input files; reruns (at
+any worker count) produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _cmd_tune(args) -> int:
 def _read_xy_csv(path: str, col_x: str, col_y: str):
     """Parse two numeric columns; drop rows with missing cells (logged),
     raise on a non-numeric or non-finite cell with its line number."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:  # skips a leading byte-order mark
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -278,6 +279,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"bench": _cmd_bench, "tune": _cmd_tune, "apply": _cmd_apply, "simulate": _cmd_simulate}
     try:
+        # an output path in a missing directory fails here, before any work
+        for path in filter(None, (getattr(args, flag, None) for flag in ("out", "summary", "svg"))):
+            folder = os.path.dirname(os.path.abspath(path))
+            if not os.path.isdir(folder):
+                raise ValueError(f"cannot write {path}: no directory {folder}")
         return handlers[args.command](args)
     except (ValueError, FileNotFoundError, meas.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

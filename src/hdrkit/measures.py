@@ -11,8 +11,11 @@ Roster (CLI token, orientation):
 * ``m3-npcop``     eps-box probability from ECDF margins + nonparametric copula (concentration)
 * ``m3-pcop``      eps-box probability from parametric margins + copula CDF (concentration)
 
-Fitting is single-threaded; the returned state is immutable and its
-``score`` method is pure, so one fitted measure can serve many workers.
+A measure is its score function. Each kind has one module-level scorer
+that takes what its fit produced, then the (m, 2) queries; ``fit_measure``
+binds it with ``functools.partial`` into a ``FittedMeasure``. Fitting is
+single-threaded; scoring is pure, so one fitted measure can serve many
+workers.
 The query-by-sample passes walk ``core._row_blocks``; the sample's
 marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
 m0-npcop and m3-npcop fitted to one sample share one ECDF and one copula
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -190,61 +194,55 @@ def heuristic_eps(kind: str, n: int, support_class: str = UNBOUNDED) -> float:
 
 
 class FittedMeasure:
-    """Fitted, scoreable state of one measure."""
+    """One fitted measure: its filled spec, its score function (the kind's
+    scorer bound to what the fit produced), and the hyperparameters and
+    copula family the fit chose."""
 
-    def __init__(self, spec: MeasureSpec, orientation: Orientation, state, hyperparams: dict, fitted_copula_family=None):
+    def __init__(self, spec: MeasureSpec, scores, hyperparams: dict, fitted_copula_family=None):
         self.spec = spec
-        self.orientation = orientation
-        self._state = state
+        self.orientation = _KINDS[spec.kind].orientation
+        self._scores = scores
         self.hyperparams = dict(hyperparams)
         self.fitted_copula_family = fitted_copula_family
 
     def score(self, points) -> np.ndarray:
-        """Evaluate the measure at (m, 2) points; pure and deterministic."""
+        """Evaluate the measure at (m, 2) points, or at one (2,) point as a
+        float; pure and deterministic."""
         pts = np.asarray(points, dtype=float)
-        scalar = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        out = self._state.score(pts)
-        return float(out[0]) if scalar else out
+        if pts.shape == (2,):
+            return float(self._scores(pts.reshape(1, 2))[0])
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"expected (m, 2) query points, got shape {pts.shape}")
+        return self._scores(pts)
 
     def score_vector(self, sample: Sample2D) -> ScoreVector:
         return ScoreVector(self.score(sample.points), self.orientation)
 
 
 # ---------------------------------------------------------------------------
-# fitted states
+# score functions: what a fit produced, then the (m, 2) queries
 
 
-class _KdeState:
-    def __init__(self, pts: np.ndarray, h: float):
-        self.pts = pts
-        self.h = h
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        n = self.pts.shape[0]
-        out = np.empty(q.shape[0])
-        inv2h2 = 1.0 / (2.0 * self.h * self.h)
-        for sl in _row_blocks(q.shape[0], n):
-            out[sl] = np.exp(-_sq_dist(q[sl], self.pts) * inv2h2).sum(axis=1)
-        return out / (n * 2.0 * np.pi * self.h * self.h)
+def _kde_scores(pts: np.ndarray, h: float, q: np.ndarray) -> np.ndarray:
+    n = pts.shape[0]
+    out = np.empty(q.shape[0])
+    inv2h2 = 1.0 / (2.0 * h * h)
+    for sl in _row_blocks(q.shape[0], n):
+        out[sl] = np.exp(-_sq_dist(q[sl], pts) * inv2h2).sum(axis=1)
+    return out / (n * 2.0 * np.pi * h * h)
 
 
-class _KnnEuclState:
-    def __init__(self, pts: np.ndarray, k: int):
-        self.pts = pts
-        self.k = k
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        n = self.pts.shape[0]
-        out = np.empty(q.shape[0])
-        for sl in _row_blocks(q.shape[0], n):
-            d = np.sqrt(_sq_dist(q[sl], self.pts))
-            if self.k >= n:
-                out[sl] = d.sum(axis=1)
-            else:
-                # the sum of the k smallest values is tie-invariant
-                out[sl] = np.partition(d, self.k - 1, axis=1)[:, : self.k].sum(axis=1)
-        return out
+def _knn_eucl_scores(pts: np.ndarray, k: int, q: np.ndarray) -> np.ndarray:
+    n = pts.shape[0]
+    out = np.empty(q.shape[0])
+    for sl in _row_blocks(q.shape[0], n):
+        d = np.sqrt(_sq_dist(q[sl], pts))
+        if k >= n:
+            out[sl] = d.sum(axis=1)
+        else:
+            # the sum of the k smallest values is tie-invariant
+            out[sl] = np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
+    return out
 
 
 class _MarginalEcdf:
@@ -260,31 +258,24 @@ class _MarginalEcdf:
         return np.column_stack([np.searchsorted(self.sorted_cols[j], q[:, j], side="right") for j in range(2)])
 
 
-class _KnnCdfState:
-    def __init__(self, pts: np.ndarray, k: int):
-        self.pts = pts
-        self.k = k
-        self.ecdf = _MarginalEcdf(pts)
-        self.f_pts = self.ecdf.counts(pts) / self.ecdf.n  # ECDF values of the sample points themselves
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        n = self.pts.shape[0]
-        k = self.k
-        fq = self.ecdf.counts(q) / n
-        out = np.empty(q.shape[0])
-        for sl in _row_blocks(q.shape[0], 2 * n):
-            d = np.sqrt(_sq_dist(q[sl], self.pts))
-            # exact ties resolve to the lower sample index
-            idx = _k_smallest(d, k)[:, 1:]
-            rows = np.arange(idx.shape[0])[:, None]
-            dist = d[rows, idx]
-            du = fq[sl][:, None, 0] - self.f_pts[idx, 0]
-            dv = fq[sl][:, None, 1] - self.f_pts[idx, 1]
-            dp = np.sqrt(du * du + dv * dv)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                terms = np.where(dist > 0.0, dp / dist, 0.0)  # duplicate points contribute 0
-            out[sl] = terms.sum(axis=1)
-        return out
+def _knn_cdf_scores(pts: np.ndarray, k: int, ecdf: _MarginalEcdf, f_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # f_pts: the ECDF values of the sample points themselves
+    n = pts.shape[0]
+    fq = ecdf.counts(q) / n
+    out = np.empty(q.shape[0])
+    for sl in _row_blocks(q.shape[0], 2 * n):
+        d = np.sqrt(_sq_dist(q[sl], pts))
+        # exact ties resolve to the lower sample index
+        idx = _k_smallest(d, k)[:, 1:]
+        rows = np.arange(idx.shape[0])[:, None]
+        dist = d[rows, idx]
+        du = fq[sl][:, None, 0] - f_pts[idx, 0]
+        dv = fq[sl][:, None, 1] - f_pts[idx, 1]
+        dp = np.sqrt(du * du + dv * dv)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            terms = np.where(dist > 0.0, dp / dist, 0.0)  # duplicate points contribute 0
+        out[sl] = terms.sum(axis=1)
+    return out
 
 
 def _sq_dist(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -303,25 +294,19 @@ def _chebyshev(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(dx, out=dx), np.abs(dy, out=dy), out=dx)
 
 
-class _EcdfRectState:
-    def __init__(self, sample: Sample2D, eps: float):
-        self.sample = sample
-        self.eps = eps
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        pts = self.sample.points
-        n = pts.shape[0]
-        eps = self.eps
-        if q is pts and n * n <= _CHEBYSHEV_MEMO_MAX:
-            # in-sample scoring reuses one distance matrix for every eps fitted
-            # to this sample (a tune grid scores up to 31 of them)
-            d = self.sample.derived(("chebyshev",), lambda: _chebyshev(pts, pts))
-            counts = np.count_nonzero(d <= eps, axis=1)
-        else:
-            counts = np.empty(q.shape[0])
-            for sl in _row_blocks(q.shape[0], n):
-                counts[sl] = np.count_nonzero(_chebyshev(q[sl], pts) <= eps, axis=1)
-        return counts / (n * 4.0 * eps * eps)
+def _ecdf_rect_scores(sample: Sample2D, eps: float, q: np.ndarray) -> np.ndarray:
+    pts = sample.points
+    n = pts.shape[0]
+    if q is pts and n * n <= _CHEBYSHEV_MEMO_MAX:
+        # in-sample scoring reuses one distance matrix for every eps fitted
+        # to this sample (a tune grid scores up to 31 of them)
+        d = sample.derived(("chebyshev",), lambda: _chebyshev(pts, pts))
+        counts = np.count_nonzero(d <= eps, axis=1)
+    else:
+        counts = np.empty(q.shape[0])
+        for sl in _row_blocks(q.shape[0], n):
+            counts[sl] = np.count_nonzero(_chebyshev(q[sl], pts) <= eps, axis=1)
+    return counts / (n * 4.0 * eps * eps)
 
 
 class _MarginalKde:
@@ -350,70 +335,45 @@ def _fit_npcop(sample: Sample2D):
     return sample.derived(("npcop",), lambda: (_MarginalEcdf(pts), copulas.npcop_fit(copulas.pseudo_observations(pts))))
 
 
-class _NpCopDensityState:
-    def __init__(self, sample: Sample2D):
-        pts = sample.points
-        self.marg = (_MarginalKde(pts[:, 0]), _MarginalKde(pts[:, 1]))
-        self.ecdf, self.copfit = _fit_npcop(sample)
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        # pseudo-coordinates n/(n+1) * F_n, clamped to [1/(n+1), n/(n+1)] so
-        # the normal quantile stays finite; sample points with distinct
-        # coordinates land exactly on ranks/(n+1)
-        n = self.ecdf.n
-        u = np.clip(self.ecdf.counts(q) / (n + 1.0), 1.0 / (n + 1.0), n / (n + 1.0))
-        c = copulas.npcop_pdf(self.copfit, u[:, 0], u[:, 1])
-        return c * self.marg[0].pdf(q[:, 0]) * self.marg[1].pdf(q[:, 1])
+def _npcop_density_scores(ecdf: _MarginalEcdf, copfit, marg, q: np.ndarray) -> np.ndarray:
+    # pseudo-coordinates n/(n+1) * F_n, clamped to [1/(n+1), n/(n+1)] so
+    # the normal quantile stays finite; sample points with distinct
+    # coordinates land exactly on ranks/(n+1)
+    n = ecdf.n
+    u = np.clip(ecdf.counts(q) / (n + 1.0), 1.0 / (n + 1.0), n / (n + 1.0))
+    c = copulas.npcop_pdf(copfit, u[:, 0], u[:, 1])
+    return c * marg[0].pdf(q[:, 0]) * marg[1].pdf(q[:, 1])
 
 
-class _NpCopRectState:
-    def __init__(self, sample: Sample2D, eps: float):
-        self.ecdf, self.copfit = _fit_npcop(sample)
-        self.eps = eps
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        eps = self.eps
-        # plain ECDF bounds: 0 and 1 map to the infinite tails of the
-        # transformed kernels inside npcop_rect_prob
-        lo = self.ecdf.counts(q - eps) / self.ecdf.n
-        hi = self.ecdf.counts(q + eps) / self.ecdf.n
-        prob = copulas.npcop_rect_prob(self.copfit, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
-        return prob / (4.0 * eps * eps)
+def _npcop_rect_scores(ecdf: _MarginalEcdf, copfit, eps: float, q: np.ndarray) -> np.ndarray:
+    # plain ECDF bounds: 0 and 1 map to the infinite tails of the
+    # transformed kernels inside npcop_rect_prob
+    lo = ecdf.counts(q - eps) / ecdf.n
+    hi = ecdf.counts(q + eps) / ecdf.n
+    prob = copulas.npcop_rect_prob(copfit, lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1])
+    return prob / (4.0 * eps * eps)
 
 
-class _PCopDensityState:
-    def __init__(self, copula_model, marginals):
-        self.copula = copula_model
-        self.marginals = marginals
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        u = np.clip(dists.marginal_cdf(self.marginals[0], q[:, 0]), _CDF_CLIP, 1.0 - _CDF_CLIP)
-        v = np.clip(dists.marginal_cdf(self.marginals[1], q[:, 1]), _CDF_CLIP, 1.0 - _CDF_CLIP)
-        c = copulas.copula_pdf(self.copula, u, v)
-        return c * dists.marginal_pdf(self.marginals[0], q[:, 0]) * dists.marginal_pdf(self.marginals[1], q[:, 1])
+def _pcop_density_scores(copula, marginals, q: np.ndarray) -> np.ndarray:
+    u = np.clip(dists.marginal_cdf(marginals[0], q[:, 0]), _CDF_CLIP, 1.0 - _CDF_CLIP)
+    v = np.clip(dists.marginal_cdf(marginals[1], q[:, 1]), _CDF_CLIP, 1.0 - _CDF_CLIP)
+    c = copulas.copula_pdf(copula, u, v)
+    return c * dists.marginal_pdf(marginals[0], q[:, 0]) * dists.marginal_pdf(marginals[1], q[:, 1])
 
 
-class _PCopRectState:
-    def __init__(self, copula_model, marginals, eps: float):
-        self.copula = copula_model
-        self.marginals = marginals
-        self.eps = eps
-
-    def score(self, q: np.ndarray) -> np.ndarray:
-        eps = self.eps
-        m1, m2 = self.marginals
-        u_lo = dists.marginal_cdf(m1, q[:, 0] - eps)
-        u_hi = dists.marginal_cdf(m1, q[:, 0] + eps)
-        v_lo = dists.marginal_cdf(m2, q[:, 1] - eps)
-        v_hi = dists.marginal_cdf(m2, q[:, 1] + eps)
-        c = self.copula
-        prob = (
-            copulas.copula_cdf(c, u_hi, v_hi)
-            - copulas.copula_cdf(c, u_lo, v_hi)
-            - copulas.copula_cdf(c, u_hi, v_lo)
-            + copulas.copula_cdf(c, u_lo, v_lo)
-        )
-        return np.maximum(prob, 0.0) / (4.0 * eps * eps)
+def _pcop_rect_scores(copula, marginals, eps: float, q: np.ndarray) -> np.ndarray:
+    m1, m2 = marginals
+    u_lo = dists.marginal_cdf(m1, q[:, 0] - eps)
+    u_hi = dists.marginal_cdf(m1, q[:, 0] + eps)
+    v_lo = dists.marginal_cdf(m2, q[:, 1] - eps)
+    v_hi = dists.marginal_cdf(m2, q[:, 1] + eps)
+    prob = (
+        copulas.copula_cdf(copula, u_hi, v_hi)
+        - copulas.copula_cdf(copula, u_lo, v_hi)
+        - copulas.copula_cdf(copula, u_hi, v_lo)
+        + copulas.copula_cdf(copula, u_lo, v_lo)
+    )
+    return np.maximum(prob, 0.0) / (4.0 * eps * eps)
 
 
 # ---------------------------------------------------------------------------
@@ -479,41 +439,45 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
             # normal-scale rule (4/(d+2))^(1/(d+4)) n^(-1/(d+4)) sigma-bar; the
             # leading constant is exactly 1 for d = 2
             hp["h"] = sbar * n ** (-1.0 / 6.0)
-            state = _KdeState(sample.points, hp["h"])
+            scores = partial(_kde_scores, sample.points, hp["h"])
         elif spec.kind == M1_KNN_EUCL:
-            state = _KnnEuclState(sample.points, spec.k)
+            scores = partial(_knn_eucl_scores, sample.points, spec.k)
         elif spec.kind == M2_KNN_CDF:
-            state = _KnnCdfState(sample.points, spec.k)
+            ecdf = _MarginalEcdf(sample.points)
+            scores = partial(_knn_cdf_scores, sample.points, spec.k, ecdf, ecdf.counts(sample.points) / n)
         elif spec.kind == M3_ECDF_RECT:
-            state = _EcdfRectState(sample, spec.eps)
-        elif spec.kind == M0_NPCOP:
-            state = _NpCopDensityState(sample)
-            hp.update(h1=state.copfit.h1, h2=state.copfit.h2, hm1=state.marg[0].h, hm2=state.marg[1].h)
-        elif spec.kind == M3_NPCOP_RECT:
-            state = _NpCopRectState(sample, spec.eps)
-            hp.update(h1=state.copfit.h1, h2=state.copfit.h2)
+            scores = partial(_ecdf_rect_scores, sample, spec.eps)
+        elif spec.kind in (M0_NPCOP, M3_NPCOP_RECT):
+            # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
+            marg = (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1))) if spec.kind == M0_NPCOP else None
+            ecdf, copfit = _fit_npcop(sample)
+            hp.update(h1=copfit.h1, h2=copfit.h2)
+            if marg:
+                hp.update(hm1=marg[0].h, hm2=marg[1].h)
+                scores = partial(_npcop_density_scores, ecdf, copfit, marg)
+            else:
+                scores = partial(_npcop_rect_scores, ecdf, copfit, spec.eps)
         else:  # the parametric-copula kinds
             model, marginals = _fit_parametric(sample, spec)
             family = model.family
             hp.update(model.params())
-            state = (_PCopDensityState(model, marginals) if spec.kind == M0_PCOP
-                     else _PCopRectState(model, marginals, spec.eps))
+            scores = (partial(_pcop_density_scores, model, marginals) if spec.kind == M0_PCOP
+                      else partial(_pcop_rect_scores, model, marginals, spec.eps))
     except Exception as exc:
         raise FitError(f"fitting measure {spec.kind} failed: {exc}") from exc
-    return FittedMeasure(spec, kind.orientation, state, hp, family)
+    return FittedMeasure(spec, scores, hp, family)
 
 
 def m0_pcop_from_models(copula_model, marginals) -> FittedMeasure:
     """Density-product measure with exact (injected) models, no fitting."""
     marginals = tuple(marginals)
     spec = MeasureSpec(M0_PCOP, marginal_families=tuple(m.family for m in marginals))
-    state = _PCopDensityState(copula_model, marginals)
-    return FittedMeasure(spec, _KINDS[M0_PCOP].orientation, state, {}, copula_model.family)
+    return FittedMeasure(spec, partial(_pcop_density_scores, copula_model, marginals), {}, copula_model.family)
 
 
 def m3_pcop_from_models(copula_model, marginals, eps: float) -> FittedMeasure:
     """Box-probability measure with exact (injected) models, no fitting."""
     marginals = tuple(marginals)
     spec = MeasureSpec(M3_PCOP_RECT, eps=eps, marginal_families=tuple(m.family for m in marginals))
-    state = _PCopRectState(copula_model, marginals, eps)
-    return FittedMeasure(spec, _KINDS[M3_PCOP_RECT].orientation, state, {"eps": eps}, copula_model.family)
+    return FittedMeasure(spec, partial(_pcop_rect_scores, copula_model, marginals, eps), {"eps": eps},
+                         copula_model.family)

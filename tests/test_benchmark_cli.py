@@ -455,6 +455,21 @@ class TestApply:
     def test_bad_alpha_or_size_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch, n, args, message):
         _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, n, message, *args)
 
+    def test_repeated_measure_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # a repeated measure would take two of the consensus votes
+        _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, 40, "repeated measure in m1, m1, m2",
+                                           "--measures", "m1,m1,m2")
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        draws = tmp_path / "d.csv"
+        assert main(["simulate", "--scenario", "S2", "--n", "60", "--seed", "5", "--out", str(draws)]) == 0
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + draws.read_bytes())
+        for src, out in ((draws, "plain-labels.csv"), (bom, "bom-labels.csv")):
+            assert main(["apply", "--input", str(src), "--x", "x1", "--y", "x2", "--measures", "m1,m3-ecdf",
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "bom-labels.csv").read_bytes() == (tmp_path / "plain-labels.csv").read_bytes()
+
     def test_no_seed_option(self, tmp_path, capsys):
         # apply draws nothing, so a seed would be a knob nothing reads
         f = tmp_path / "in.csv"
@@ -479,6 +494,32 @@ class TestApply:
         assert 'viewBox="0 0 600 600"' in text
         assert text.count("<circle") == 200
         assert 'class="in"' in text and 'class="out"' in text
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--scenarios", "S2", "--n", "40", "--measures", "m1", "--out", "nodir/r.csv"],
+        ["bench", "--scenarios", "S2", "--n", "40", "--measures", "m1", "--out", "r.csv", "--summary", "nodir/s.csv"],
+        ["tune", "--scenario", "S2", "--n", "40", "--measure", "m1", "--grid", "1:3", "--out", "nodir/t.csv"],
+        ["apply", "--input", "in.csv", "--x", "a", "--y", "b", "--measures", "m1", "--out", "nodir/o.csv"],
+        ["apply", "--input", "in.csv", "--x", "a", "--y", "b", "--measures", "m1", "--out", "o.csv",
+         "--svg", "nodir/p.svg"],
+        ["simulate", "--scenario", "S2", "--n", "40", "--out", "nodir/d.csv"],
+    ])
+    def test_missing_directory_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        calls = []
+        for module, name in ((benchmark.scen, "build_truth_oracle"), (benchmark.scen, "sample_scenario"),
+                             (benchmark.meas, "fit_measure")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        (tmp_path / "in.csv").write_text("a,b\n" + "".join(f"{i},{i * i % 7}\n" for i in range(40)))
+        monkeypatch.chdir(tmp_path)
+        if argv[0] in ("bench", "tune"):
+            argv = argv + ["--reps", "2", "--ref-size", "100000", "--workers", "1"]
+        assert main(argv) == 2
+        missing = next(a for a in argv if a.startswith("nodir/"))
+        assert f"error: cannot write {missing}: no directory" in capsys.readouterr().err
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
 
 
 class TestEnvWorkers:

@@ -12,6 +12,9 @@ import numpy as np
 import pytest
 import scipy
 
+import hdrkit as hk
+from hdrkit import measures
+from hdrkit.benchmark import measure_spec_for, replicate_rng
 from hdrkit.cli import main
 
 RECORDED_VERSIONS = ("2.4.6", "1.17.1")
@@ -63,3 +66,30 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(digests, name):
     assert digests[name] == GOLDEN[name]
+
+
+# sha256 of the float64 bytes of each kind's scores at the points of a fixed
+# 60-point S6 sample plus 25 new ones: the new points reach the scorers'
+# out-of-sample paths (m3-ecdf's blocked count, m2's query ECDF), which the
+# CLI runs above never take
+SCORES = {
+    "m0-kde": "1a2df172b999f010524ef64f1adbde40d72180dbb6e48acc8b72cc2a22e911be",
+    "m0-npcop": "f641586b1234cd334cbebebc311d868cb8472d838c464620f83bd0110d897491",
+    "m0-pcop": "efc9dc4b39b77b2808b4fb8e25a2caded2be98bbd20ff39423a076ad6027e0eb",
+    "m1": "842bdb4b5e1480be88ec93f507777566be56bba0b8ac1b20da1a30890a858f41",
+    "m2": "7002bcbe797a4692bc81cd94f016ad274ef0962e5658b94f3c6124b12feb1619",
+    "m3-ecdf": "a499b8eeaa1307f063e36dd869191d2629491c33f851a5ff42b4ff10f77cc712",
+    "m3-npcop": "ef9a1c12a9c4b838af3869db3c9d7876a36fd475c8c4e82e3ac0653ba95aa880",
+    "m3-pcop": "623d89cc7e56b26588c10a40c92da16b6109b58ddadd4ddaa11ad5e0efd60811",
+}
+
+
+@pytest.mark.parametrize("kind", measures.MEASURE_KINDS)
+def test_scores_digest(kind):
+    s6 = hk.scenario("S6")
+    sample = hk.sample_scenario(s6, 60, replicate_rng(42, "S6", 60, "scores", 0))
+    new = hk.sample_scenario(s6, 25, replicate_rng(42, "S6", 25, "scores", 1)).points
+    q = np.vstack([sample.points, new])
+    scores = measures.fit_measure(measure_spec_for(s6, kind), sample).score(q)
+    assert scores.dtype == np.float64 and scores.shape == (85,)
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == SCORES[kind]

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -136,15 +137,34 @@ class TestSpecFilling:
         assert spec == M.MeasureSpec("m1", k=2) and type(spec.k) is int
 
 
+class TestQueryShape:
+    def test_only_m_by_2_queries_or_one_point(self):
+        s6 = hk.scenario("S6")
+        samp = hk.sample_scenario(s6, 40, replicate_rng(5, "S6", 40, "query-shape", 0))
+        for kind in M.MEASURE_KINDS:
+            f = M.fit_measure(measure_spec_for(s6, kind), samp)
+            one = f.score(samp.points[3])
+            assert type(one) is float and one == f.score(samp.points[3:4])[0], kind
+            assert f.score(np.empty((0, 2))).shape == (0,), kind
+            for bad in (np.zeros((5, 3)), np.zeros((5, 1)), np.zeros(3), np.zeros((2, 2, 2)), 1.0):
+                with pytest.raises(ValueError, match=r"expected \(m, 2\) query points, got shape"):
+                    f.score(bad)
+
+    def test_queries_not_copied(self):
+        seen = []
+        f = M.FittedMeasure(M.MeasureSpec("m1"), lambda q: seen.append(q) or np.zeros(q.shape[0]), {})
+        q = np.zeros((4, 2))
+        f.score(q)
+        assert seen[0] is q
+
+
 class TestKdeScore:
     def test_single_kernel_center(self):
-        f = M.FittedMeasure(M.MeasureSpec("m0-kde"), Orientation.CONCENTRATION,
-                            M._KdeState(np.zeros((1, 2)), 1.0), {"h": 1.0})
+        f = M.FittedMeasure(M.MeasureSpec("m0-kde"), partial(M._kde_scores, np.zeros((1, 2)), 1.0), {"h": 1.0})
         assert_allclose(f.score((0.0, 0.0)), 1.0 / (2.0 * math.pi), rtol=1e-12)
 
     def test_single_kernel_radius_five(self):
-        f = M.FittedMeasure(M.MeasureSpec("m0-kde"), Orientation.CONCENTRATION,
-                            M._KdeState(np.zeros((1, 2)), 1.0), {"h": 1.0})
+        f = M.FittedMeasure(M.MeasureSpec("m0-kde"), partial(M._kde_scores, np.zeros((1, 2)), 1.0), {"h": 1.0})
         assert_allclose(f.score((3.0, 4.0)), math.exp(-12.5) / (2.0 * math.pi), rtol=1e-10)
 
     @pytest.mark.parametrize("n", [2, 60, 700])
