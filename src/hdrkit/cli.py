@@ -279,13 +279,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"bench": _cmd_bench, "tune": _cmd_tune, "apply": _cmd_apply, "simulate": _cmd_simulate}
     try:
-        # an output path in a missing directory fails here, before any work
+        # an output path that is a directory or in a missing one fails here, before any work
         for path in filter(None, (getattr(args, flag, None) for flag in ("out", "summary", "svg"))):
             folder = os.path.dirname(os.path.abspath(path))
+            if os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: it is a directory")
             if not os.path.isdir(folder):
                 raise ValueError(f"cannot write {path}: no directory {folder}")
         return handlers[args.command](args)
-    except (ValueError, FileNotFoundError, meas.FitError) as exc:
+    except (ValueError, OSError, meas.FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -281,7 +281,7 @@ class PseudoObservations:
     u: np.ndarray  # (n, 2)
 
     def __post_init__(self):
-        arr = np.asarray(self.u, dtype=float)
+        arr = np.ascontiguousarray(self.u, dtype=float)  # C order: rankdata's column-major u sums in another order
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pseudo-observations must be (n, 2)")
         if not np.all((0.0 < arr) & (arr < 1.0)):
@@ -296,14 +296,8 @@ class PseudoObservations:
 def pseudo_observations(points: np.ndarray) -> PseudoObservations:
     """Rank transform to the open unit square with the ranks/(n+1) rescaling."""
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    ranks = np.empty_like(pts)
-    for j in range(pts.shape[1]):
-        order = np.argsort(pts[:, j], kind="stable")
-        r = np.empty(n)
-        r[order] = np.arange(1, n + 1)
-        ranks[:, j] = r
-    return PseudoObservations(ranks / (n + 1.0))
+    # ties rank in order of appearance; a NaN makes its column NaN, which PseudoObservations rejects
+    return PseudoObservations(stats.rankdata(pts, method="ordinal", axis=0) / (pts.shape[0] + 1.0))
 
 
 def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObservations:

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special, stats
+from scipy import special, stats
+from scipy.optimize import elementwise
 
 __all__ = [
     "MarginalModel",
@@ -156,18 +157,17 @@ def marginal_quantile(m: MarginalModel, p):
 
 
 def _mixture_quantile(m: MarginalModel, p: np.ndarray) -> np.ndarray:
-    """Bracketed root-finding on the mixture CDF (monotone, smooth)."""
-    scalar = p.ndim == 0
-    pf = np.atleast_1d(p)
-    lo_comp = min(m.mu1, m.mu2)
-    hi_comp = max(m.mu1, m.mu2)
-    z = special.ndtri(pf)
-    lo = lo_comp + m.sigma * z - 1.0  # CDF(lo) <= p: both components shifted right of lo
-    hi = hi_comp + m.sigma * z + 1.0
-    out = np.empty_like(pf)
-    for i, (pi, a, b) in enumerate(zip(pf, lo, hi)):
-        out[i] = optimize.brentq(lambda x: marginal_cdf(m, x) - pi, a, b, xtol=1e-13, rtol=8.9e-16)
-    return out[0] if scalar else out
+    """Chandrupatla's bracketed root solve on the mixture CDF (monotone,
+    smooth) for every point at once; each element stops on its own, so a
+    root depends only on its own ``p``."""
+    z = special.ndtri(p)
+    lo = min(m.mu1, m.mu2) + m.sigma * z - 1.0  # CDF(lo) <= p: both components shifted right of lo
+    hi = max(m.mu1, m.mu2) + m.sigma * z + 1.0
+    res = elementwise.find_root(lambda x, q: marginal_cdf(m, x) - q, (lo, hi), args=(p,),
+                                tolerances={"xatol": 1e-13, "xrtol": 8.9e-16})
+    if not np.all(res.success):
+        raise RuntimeError("mixture quantile did not converge")
+    return res.x
 
 
 # ---------------------------------------------------------------------------

@@ -496,30 +496,56 @@ class TestApply:
         assert 'class="in"' in text and 'class="out"' in text
 
 
+# each command once per output flag, the bad path starting with "nodir/"
+_OUTPUT_ARGVS = [
+    ["bench", "--scenarios", "S2", "--n", "40", "--measures", "m1", "--out", "nodir/r.csv"],
+    ["bench", "--scenarios", "S2", "--n", "40", "--measures", "m1", "--out", "r.csv", "--summary", "nodir/s.csv"],
+    ["tune", "--scenario", "S2", "--n", "40", "--measure", "m1", "--grid", "1:3", "--out", "nodir/t.csv"],
+    ["apply", "--input", "in.csv", "--x", "a", "--y", "b", "--measures", "m1", "--out", "nodir/o.csv"],
+    ["apply", "--input", "in.csv", "--x", "a", "--y", "b", "--measures", "m1", "--out", "o.csv",
+     "--svg", "nodir/p.svg"],
+    ["simulate", "--scenario", "S2", "--n", "40", "--out", "nodir/d.csv"],
+]
+
+
 class TestOutputDirectory:
-    @pytest.mark.parametrize("argv", [
-        ["bench", "--scenarios", "S2", "--n", "40", "--measures", "m1", "--out", "nodir/r.csv"],
-        ["bench", "--scenarios", "S2", "--n", "40", "--measures", "m1", "--out", "r.csv", "--summary", "nodir/s.csv"],
-        ["tune", "--scenario", "S2", "--n", "40", "--measure", "m1", "--grid", "1:3", "--out", "nodir/t.csv"],
-        ["apply", "--input", "in.csv", "--x", "a", "--y", "b", "--measures", "m1", "--out", "nodir/o.csv"],
-        ["apply", "--input", "in.csv", "--x", "a", "--y", "b", "--measures", "m1", "--out", "o.csv",
-         "--svg", "nodir/p.svg"],
-        ["simulate", "--scenario", "S2", "--n", "40", "--out", "nodir/d.csv"],
-    ])
-    def test_missing_directory_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+    @pytest.fixture
+    def run_before_any_work(self, tmp_path, capsys, monkeypatch):
+        """Run argv in a folder holding only in.csv and adir/; check that it
+        exits 2 with no oracle, draw, fit or file made, and return stderr."""
         calls = []
         for module, name in ((benchmark.scen, "build_truth_oracle"), (benchmark.scen, "sample_scenario"),
                              (benchmark.meas, "fit_measure")):
             monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
         (tmp_path / "in.csv").write_text("a,b\n" + "".join(f"{i},{i * i % 7}\n" for i in range(40)))
+        (tmp_path / "adir").mkdir()
         monkeypatch.chdir(tmp_path)
-        if argv[0] in ("bench", "tune"):
-            argv = argv + ["--reps", "2", "--ref-size", "100000", "--workers", "1"]
-        assert main(argv) == 2
+
+        def run(argv):
+            if argv[0] in ("bench", "tune"):
+                argv = argv + ["--reps", "2", "--ref-size", "100000", "--workers", "1"]
+            assert main(argv) == 2
+            assert calls == []
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "in.csv"]
+            assert list((tmp_path / "adir").iterdir()) == []
+            return capsys.readouterr().err
+
+        return run
+
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
+    def test_missing_directory_usage_error_before_any_work(self, run_before_any_work, argv):
         missing = next(a for a in argv if a.startswith("nodir/"))
-        assert f"error: cannot write {missing}: no directory" in capsys.readouterr().err
-        assert calls == []
-        assert [p.name for p in tmp_path.iterdir()] == ["in.csv"]
+        assert f"error: cannot write {missing}: no directory" in run_before_any_work(argv)
+
+    @pytest.mark.parametrize("argv", _OUTPUT_ARGVS)
+    def test_directory_path_usage_error_before_any_work(self, run_before_any_work, argv):
+        argv = ["adir" if a.startswith("nodir/") else a for a in argv]
+        assert "error: cannot write adir: it is a directory" in run_before_any_work(argv)
+
+    def test_input_directory_usage_error(self, run_before_any_work):
+        argv = ["apply", "--input", "adir", "--x", "a", "--y", "b", "--measures", "m1", "--out", "o.csv"]
+        err = run_before_any_work(argv)
+        assert err.startswith("error: ") and "'adir'" in err
 
 
 class TestEnvWorkers:

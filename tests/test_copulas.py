@@ -428,7 +428,9 @@ _NAN = np.array([0.3, np.nan])
     lambda: C.npcop_rect_prob(_npfit(), 0.1, 0.9, 0.2, _NAN),
     lambda: C.PseudoObservations(np.column_stack([_NAN, [0.2, 0.4]])),
     lambda: D.marginal_quantile(D.normal(0.0, 1.0), _NAN),
-], ids=["copula_cdf", "copula_pdf", "npcop_pdf", "npcop_rect_prob", "PseudoObservations", "marginal_quantile"])
+    lambda: C.pseudo_observations(np.column_stack([_NAN, [0.2, 0.4]])),
+], ids=["copula_cdf", "copula_pdf", "npcop_pdf", "npcop_rect_prob", "PseudoObservations", "marginal_quantile",
+        "pseudo_observations"])
 def test_nan_coordinate_raises(call):
     with pytest.raises(ValueError):
         call()

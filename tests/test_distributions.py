@@ -86,6 +86,36 @@ class TestQuantile:
         assert_allclose(D.marginal_cdf(m, q), p, atol=1e-8)
 
 
+class TestMixtureQuantile:
+    M = D.normal_mixture(0.3, -1.0, 2.0, 0.8)
+
+    def test_one_vectorised_solve(self, monkeypatch):
+        calls = []
+        cdf = D.marginal_cdf
+        monkeypatch.setattr(D, "marginal_cdf", lambda m, x: calls.append(1) or cdf(m, x))
+        p = np.random.default_rng(3).uniform(size=1000)
+        q = D.marginal_quantile(self.M, p)
+        assert len(calls) <= 30
+        assert_allclose(cdf(self.M, q), p, rtol=0, atol=1e-14)
+
+    def test_tail_round_trip(self):
+        # the bounds copulas._clip_open puts on every copula draw, and a deep lower tail
+        p = np.array([1e-15, 1.0 - 1e-15, 1e-300])
+        assert_allclose(D.marginal_cdf(self.M, D.marginal_quantile(self.M, p)), p, rtol=0, atol=1e-14)
+
+    def test_each_root_depends_only_on_its_own_p(self):
+        p = np.random.default_rng(4).uniform(size=500)
+        q = D.marginal_quantile(self.M, p)
+        one = [D.marginal_quantile(self.M, pi) for pi in p]
+        assert all(type(x) is float for x in one)
+        assert np.array_equal(q, np.array(one))
+
+    def test_unconverged_root_raises(self, monkeypatch):
+        monkeypatch.setattr(D, "marginal_cdf", lambda m, x: np.full_like(x, np.nan))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            D.marginal_quantile(self.M, np.array([0.2, 0.7]))
+
+
 class TestMle:
     def test_normal_recovery(self):
         rng = np.random.default_rng(10)

@@ -31,7 +31,7 @@ GOLDEN = {
     "bench-summary": "70d01cd0a8d019ccf2e9121259acaae211096101fbf5928fbe09fef6a3031f3d",
     "tune-s2-m1": "bef347b1838dde3fa94a85511761ae409473909b4c461c7ed2d8981e94f873b9",
     "tune-s17-m3-ecdf": "409818493b13e913035490fbdb6f37fa429243989ad2fc8dd1320835a836ccce",
-    "simulate-s16": "21c9059da0d0571fdd74c0951b6f7addb61f79d853e10f21316967a73498512b",
+    "simulate-s16": "ce26db11ea265de152c86a1498bc30520b4c4a7c49c2da06bb4e38a3d18185d0",
     "simulate-s17": "47e1b7d30e8f5188ea0fc64cc92eaccf62794d5c6881d1caf1b4386f7e4bc814",
     "apply-labels": "f5affa04bb1253bcf613b6516b70f9018888ea32ef176eac9127df72c9c5504b",
     "apply-svg": "7a66c9134fc1a112233fc0f1be256086e82b0a97adbd9889c88d59a8d4d15df8",
