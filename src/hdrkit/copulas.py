@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special, stats
+from scipy import optimize, special
 
 from .core import _row_blocks
-from .distributions import bvn_cdf, bvt_cdf
+from .distributions import _norm_pdf, _t_cdf, _t_ppf, bvn_cdf, bvt_cdf
 
 __all__ = [
     "CopulaModel",
@@ -119,8 +119,16 @@ def dirichlet11a(a: float) -> CopulaModel:
 
 
 def _debye1(t: float) -> float:
-    val, _ = integrate.quad(lambda s: s / np.expm1(s), 0.0, t, limit=200)
-    return val / t
+    """First Debye function ``D(t) = (1/t) int_0^t s / (e^s - 1) ds``: its
+    Taylor series for |t| < 1e-2, ``D(t) = D(-t) - t/2`` for t < 0, and
+    otherwise the closed form ``(pi^2/6 + t log(1 - e^-t) - Li2(e^-t)) / t``
+    with ``Li2(z) = spence(1 - z)``."""
+    if abs(t) < 1e-2:
+        return 1.0 - t / 4.0 + t * t / 36.0 - t ** 4 / 3600.0
+    if t < 0.0:
+        return _debye1(-t) - t / 2.0
+    q = -np.expm1(-t)  # 1 - e^-t
+    return float((np.pi ** 2 / 6.0 + t * np.log(q) - special.spence(q)) / t)
 
 
 def kendall_tau(c: CopulaModel) -> float:
@@ -141,7 +149,7 @@ def tau_to_param(family: str, tau: float) -> CopulaModel:
     """Invert Kendall's tau to a copula parameter.
 
     Gaussian/Student-t: rho = sin(pi tau / 2); Clayton: theta = 2 tau / (1 - tau);
-    Frank: bisection on the Debye-function identity to 1e-10. The Student-t
+    Frank: Brent's method (``brentq``) on the Debye-function identity to 1e-10. The Student-t
     nu is not identified by tau and defaults to 6 here.
     """
     if not -1.0 < tau < 1.0:
@@ -189,7 +197,7 @@ def copula_cdf(c: CopulaModel, u, v):
             out = bvn_cdf(c.rho, special.ndtri(u), special.ndtri(v))
     elif c.family == STUDENT_T:
         with np.errstate(divide="ignore"):
-            out = bvt_cdf(c.rho, c.nu, stats.t.ppf(u, c.nu), stats.t.ppf(v, c.nu))
+            out = bvt_cdf(c.rho, c.nu, _t_ppf(u, c.nu), _t_ppf(v, c.nu))
     elif c.family == FRANK:
         th = c.theta
         out = -np.log1p(np.expm1(-th * u) * np.expm1(-th * v) / np.expm1(-th)) / th
@@ -227,7 +235,7 @@ def copula_pdf(c: CopulaModel, u, v):
         y = special.ndtri(v)
         out = np.exp(-(r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * (1.0 - r * r))) / np.sqrt(1.0 - r * r)
     elif c.family == STUDENT_T:
-        out = np.exp(_t_log_density(stats.t.ppf(u, c.nu), stats.t.ppf(v, c.nu), c.nu)(c.rho))
+        out = np.exp(_t_log_density(_t_ppf(u, c.nu), _t_ppf(v, c.nu), c.nu)(c.rho))
     elif c.family == FRANK:
         th = c.theta
         # stable form: th (1-e^-th) e^{-th(u+v)} / (e^-th - e^-th u - e^-th v + e^{-th(u+v)})^2
@@ -281,7 +289,7 @@ class PseudoObservations:
     u: np.ndarray  # (n, 2)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.u, dtype=float)  # C order: rankdata's column-major u sums in another order
+        arr = np.asarray(self.u, dtype=float)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError("pseudo-observations must be (n, 2)")
         if not np.all((0.0 < arr) & (arr < 1.0)):
@@ -296,8 +304,11 @@ class PseudoObservations:
 def pseudo_observations(points: np.ndarray) -> PseudoObservations:
     """Rank transform to the open unit square with the ranks/(n+1) rescaling."""
     pts = np.asarray(points, dtype=float)
-    # ties rank in order of appearance; a NaN makes its column NaN, which PseudoObservations rejects
-    return PseudoObservations(stats.rankdata(pts, method="ordinal", axis=0) / (pts.shape[0] + 1.0))
+    if np.isnan(pts).any():
+        raise ValueError("pseudo-observations of a NaN coordinate")
+    # ordinal ranks (the inverse of a stable sort): ties rank in order of appearance
+    ranks = np.argsort(np.argsort(pts, axis=0, kind="stable"), axis=0) + 1.0
+    return PseudoObservations(ranks / (pts.shape[0] + 1.0))
 
 
 def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObservations:
@@ -321,7 +332,7 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
         if c.family == GAUSSIAN:
             return PseudoObservations(_clip_open(special.ndtr(x)))
         x /= np.sqrt(rng.chisquare(c.nu, n) / c.nu)[:, None]
-        return PseudoObservations(_clip_open(stats.t.cdf(x, c.nu)))
+        return PseudoObservations(_clip_open(_t_cdf(x, c.nu)))
 
     if c.family == FRANK:
         th = c.theta
@@ -370,6 +381,45 @@ _ONE_PARAM = {
 }
 
 
+def _kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
+    """Sample Kendall's tau-b, with the tie corrections and arithmetic of
+    ``scipy.stats.kendalltau``; NaN when x or y is constant."""
+    order = np.lexsort((y, x))  # by x, ties by y: pairs tied in x are never discordant
+    x, y = x[order], y[order]
+    ranks = np.unique(y, return_inverse=True)[1]
+
+    def tied(counts):
+        return int((counts * (counts - 1) // 2).sum())
+
+    xtie = tied(np.diff(np.flatnonzero(np.r_[True, x[1:] != x[:-1], True])))
+    ytie = tied(np.bincount(ranks))
+    ntie = tied(np.diff(np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True])))
+    tot = x.size * (x.size - 1) // 2
+    if xtie == tot or ytie == tot:
+        return float("nan")
+    tau = (tot - xtie - ytie + ntie - 2 * _inversions(ranks)) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(min(1.0, max(-1.0, tau)))
+
+
+def _inversions(r: np.ndarray) -> int:
+    """The pairs i < j with r[i] > r[j], for integers r >= 0, counted over
+    the levels of a bottom-up merge sort: at width w, each element of a
+    right block counts the elements of its left block that exceed it."""
+    r = r.astype(np.int64)
+    base = int(r.max()) + 1
+    pos = np.arange(r.size)
+    count, w = 0, 1
+    while w < r.size:
+        pair = pos // (2 * w)
+        right = (pos // w) % 2 == 1
+        key = pair * base + r  # sorted within each block, and by pair across blocks
+        at = np.searchsorted(key[~right], key[right], side="right")
+        count += int(((pair[right] + 1) * w - at).sum())
+        r = np.sort(key) % base  # merge each pair of blocks
+        w *= 2
+    return count
+
+
 def fit_copula_mle(pseudo: PseudoObservations, family: str):
     """Maximize the copula log-likelihood over one family.
 
@@ -384,13 +434,13 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
     u, v = pseudo.u[:, 0], pseudo.u[:, 1]
 
     if family == STUDENT_T:
-        tau_hat = stats.kendalltau(u, v).statistic
+        tau_hat = _kendall_tau(u, v)
         rho0 = float(np.clip(np.sin(np.pi * tau_hat / 2.0), -_RHO_MAX + 0.01, _RHO_MAX - 0.01))
         lo = max(-_RHO_MAX, rho0 - 0.25)
         hi = min(_RHO_MAX, rho0 + 0.25)
         best = None
         for nu in NU_GRID_COPULA:
-            log_c = _t_log_density(stats.t.ppf(u, nu), stats.t.ppf(v, nu), nu)
+            log_c = _t_log_density(_t_ppf(u, nu), _t_ppf(v, nu), nu)
             res = optimize.minimize_scalar(lambda r: -float(np.sum(log_c(r))), bounds=(lo, hi), method="bounded",
                                            options={"xatol": 1e-6})
             if best is None or -res.fun > best[2]:
@@ -500,7 +550,7 @@ def npcop_pdf(fit: NpCopulaFit, u, v):
         )
         out[sl] = kern.sum(axis=-1)
     out /= fit.n * 2.0 * np.pi * fit.h1 * fit.h2
-    out /= stats.norm.pdf(s) * stats.norm.pdf(t)
+    out /= _norm_pdf(s) * _norm_pdf(t)
     if scalar:
         return float(out[0])
     return out.reshape(u.shape)

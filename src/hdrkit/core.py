@@ -108,6 +108,16 @@ class ScoreVector:
 # cap on the entries of one query-block-by-sample intermediate
 _BLOCK_BUDGET = 65_536
 
+# glibc's malloc maps a block above its mmap threshold afresh and hands
+# freed heap memory above its trim threshold back to the system (128 KB and
+# 256 KB at start), so a kernel's few live 512 KB block temporaries would
+# fault their pages in again on every block: `apply --measures all` at
+# n = 5000 took 373,000 minor faults and 0.6 s of system time, against 1,300
+# and 0.004 s. Freeing one larger mapped block raises both thresholds (to its
+# size and twice that; glibc's dynamic threshold), so the temporaries are
+# reused from the heap. Other allocators just free it.
+np.empty(8 * _BLOCK_BUDGET)
+
 
 def _row_blocks(m: int, width: int):
     """Consecutive row slices of ``m`` queries, each short enough that its

@@ -5,11 +5,14 @@ grid: normal, standard Student-t, two-component normal mixture with a
 shared variance, and the Beta(1, a+1) law that arises as the marginal of a
 Dirichlet(1, 1, a) vector (CDF ``1 - (1-x)^(a+1)`` on [0, 1]).
 
-Special functions (normal/t pdf, cdf, quantile) are delegated to scipy;
-the bivariate normal CDF is evaluated with a fixed-order Gauss-Legendre
-reduction, and the bivariate Student-t CDF, which takes whole degrees of
-freedom only, with its finite closed-form series; both are deterministic
-and vectorized.
+The normal and Student-t pdf, cdf and quantile are written on
+``scipy.special`` (``ndtr``, ``ndtri``, ``stdtr``, ``stdtrit``, ``poch``),
+bit for bit as ``scipy.stats`` forms them, so importing the package never
+loads ``scipy.stats``; the t quantile and CDF also hold in the far lower
+tail, where ``stdtrit`` and ``stdtr`` lose it. The bivariate normal CDF is
+evaluated with a fixed-order Gauss-Legendre reduction, and the bivariate
+Student-t CDF, which takes whole degrees of freedom only, with its finite
+closed-form series; both are deterministic and vectorized.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 from scipy.optimize import elementwise
 
 __all__ = [
@@ -45,6 +48,10 @@ BETA11A = "beta11a"
 NU_GRID = np.arange(1.0, 30.0 + 0.25, 0.5)
 # mixture EM stops once a step gains less log-likelihood than _EM_TOL, or after _EM_MAX_ITER steps
 _EM_TOL, _EM_MAX_ITER = 1e-8, 500
+# stdtrit's CDF round trip is within 2e-13 from here to 0.5 on NU_GRID; below it,
+# stdtrit can return +inf or an x off by a factor of 2 (nu = 2.5 at p = 1e-140)
+_T_TAIL_P = 1e-15
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -103,15 +110,60 @@ class FitReport:
     converged: bool
 
 
+def _norm_pdf(x, mu=0.0, s=1.0):
+    z = (x - mu) / s
+    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI / s
+
+
+def _norm_logpdf(x, mu, s):
+    z = (x - mu) / s
+    return -z ** 2 / 2.0 - np.log(_SQRT_2PI) - np.log(s)
+
+
+def _t_logpdf(x, nu):
+    return (np.log(special.poch(0.5 * nu, 0.5)) - 0.5 * (np.log(nu) + np.log(np.pi))
+            - (nu + 1) / 2 * np.log1p(x * x / nu))
+
+
+def _t_log_tail(nu):
+    """``log(nu^(nu/2 - 1) / B(nu/2, 1/2))``: the lower tail is
+    ``T(x) ~ exp(_t_log_tail(nu) - nu log|x|)`` as x -> -inf."""
+    return (0.5 * nu - 1.0) * np.log(nu) - special.betaln(0.5 * nu, 0.5)
+
+
+def _t_cdf(x, nu):
+    """Student-t CDF; where ``stdtr`` underflows to 0 at a finite x (its x*x
+    overflows past |x| ~ 1e154, where the CDF is still ~1e-155 for nu = 1),
+    the leading tail term takes over."""
+    out = special.stdtr(nu, x)
+    lost = (out == 0.0) & np.isfinite(x)
+    if np.any(lost):
+        out = np.where(lost, np.exp(_t_log_tail(nu) - nu * np.log(np.where(lost, -x, 1.0))), out)
+    return out
+
+
+def _t_ppf(p, nu):
+    """Student-t quantile; below ``_T_TAIL_P`` the leading tail term replaces
+    ``stdtrit`` wherever its CDF lies closer to p."""
+    x = special.stdtrit(nu, p)
+    tail = p < _T_TAIL_P
+    if np.any(tail):
+        with np.errstate(divide="ignore"):  # p = 0 gives -inf
+            lead = -np.exp((_t_log_tail(nu) - np.log(p)) / nu)
+        closer = np.abs(_t_cdf(lead, nu) - p) < np.abs(_t_cdf(x, nu) - p)
+        x = np.where(tail & closer, lead, x)
+    return x
+
+
 def marginal_pdf(m: MarginalModel, x):
     """Density of ``m`` at ``x`` (scalar or array)."""
     x = np.asarray(x, dtype=float)
     if m.family == NORMAL:
-        out = stats.norm.pdf(x, m.mu, m.sigma)
+        out = _norm_pdf(x, m.mu, m.sigma)
     elif m.family == STUDENT_T:
-        out = stats.t.pdf(x, m.nu)
+        out = np.exp(_t_logpdf(x, m.nu))
     elif m.family == NORMAL_MIXTURE:
-        out = m.w * stats.norm.pdf(x, m.mu1, m.sigma) + (1.0 - m.w) * stats.norm.pdf(x, m.mu2, m.sigma)
+        out = m.w * _norm_pdf(x, m.mu1, m.sigma) + (1.0 - m.w) * _norm_pdf(x, m.mu2, m.sigma)
     elif m.family == BETA11A:
         inside = (x >= 0.0) & (x <= 1.0)
         out = np.where(inside, (m.a + 1.0) * np.maximum(1.0 - x, 0.0) ** m.a, 0.0)
@@ -126,7 +178,7 @@ def marginal_cdf(m: MarginalModel, x):
     if m.family == NORMAL:
         out = special.ndtr((x - m.mu) / m.sigma)
     elif m.family == STUDENT_T:
-        out = stats.t.cdf(x, m.nu)
+        out = _t_cdf(x, m.nu)
     elif m.family == NORMAL_MIXTURE:
         out = m.w * special.ndtr((x - m.mu1) / m.sigma) + (1.0 - m.w) * special.ndtr((x - m.mu2) / m.sigma)
     elif m.family == BETA11A:
@@ -145,7 +197,7 @@ def marginal_quantile(m: MarginalModel, p):
     if m.family == NORMAL:
         out = m.mu + m.sigma * special.ndtri(p)
     elif m.family == STUDENT_T:
-        out = stats.t.ppf(p, m.nu)
+        out = _t_ppf(p, m.nu)
     elif m.family == NORMAL_MIXTURE:
         out = _mixture_quantile(m, p)
     elif m.family == BETA11A:
@@ -194,11 +246,11 @@ def fit_marginal_mle(column, family: str) -> FitReport:
         mu = float(np.mean(x))
         sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
         model = normal(mu, sigma)
-        ll = float(np.sum(stats.norm.logpdf(x, mu, sigma)))
+        ll = float(np.sum(_norm_logpdf(x, mu, sigma)))
         return FitReport(model, ll, 1, True)
 
     if family == STUDENT_T:
-        lls = np.array([np.sum(stats.t.logpdf(x, nu)) for nu in NU_GRID])
+        lls = np.sum(_t_logpdf(x, NU_GRID[:, None]), axis=1)
         best = int(np.argmax(lls))
         return FitReport(student_t(float(NU_GRID[best])), float(lls[best]), len(NU_GRID), True)
 
@@ -233,8 +285,8 @@ def _em_mixture(x: np.ndarray, mu1: float, mu2: float):
     converged = False
     for _ in range(_EM_MAX_ITER):
         # E step
-        la = np.log(w) + stats.norm.logpdf(x, mu1, sigma)
-        lb = np.log1p(-w) + stats.norm.logpdf(x, mu2, sigma)
+        la = np.log(w) + _norm_logpdf(x, mu1, sigma)
+        lb = np.log1p(-w) + _norm_logpdf(x, mu2, sigma)
         mx = np.maximum(la, lb)
         den = mx + np.log(np.exp(la - mx) + np.exp(lb - mx))
         trace.append(float(np.sum(den)))
@@ -344,8 +396,8 @@ def bvt_cdf(rho: float, nu: float, x, y):
     yf = np.where(big_y, 0.0, y)
     out = _bvt_series(rho, int(nu), xf, yf)
     if big_x.any() or big_y.any():
-        out = np.where(big_x & (x > 0), stats.t.cdf(y, nu), out)
-        out = np.where(big_y & (y > 0), stats.t.cdf(x, nu), out)
+        out = np.where(big_x & (x > 0), _t_cdf(y, nu), out)
+        out = np.where(big_y & (y > 0), _t_cdf(x, nu), out)
         out = np.where((big_x & (x < 0)) | (big_y & (y < 0)), 0.0, out)
     out = np.clip(out, 0.0, 1.0)
     return float(out) if out.ndim == 0 else out

@@ -1,5 +1,8 @@
 import csv
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -556,3 +559,21 @@ class TestEnvWorkers:
                 "--reps", "4", "--seed", "42", "--ref-size", "100000", "--out", str(out)]
         assert main(args) == 0
         assert out.exists()
+
+
+_IMPORT_GUARD = """
+import json, sys
+from hdrkit.cli import main
+assert main(["simulate", "--scenario", "S16", "--n", "300", "--seed", "1", "--out", "s16.csv"]) == 0
+assert main(["apply", "--input", "s16.csv", "--x", "x1", "--y", "x2", "--measures", "all", "--out", "o.csv"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "integrate"]))))
+"""
+
+
+def test_cli_never_imports_scipy_stats_or_integrate(tmp_path):
+    # scipy.stats and scipy.integrate take about half a second to import, which every CLI call would pay
+    src = os.path.dirname(os.path.dirname(hk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == []

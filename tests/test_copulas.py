@@ -53,6 +53,17 @@ class TestTauCalibration:
         assert_allclose(C.kendall_tau(model), tau, atol=1e-8)
 
 
+class TestDebye:
+    # +-[1e-8, 500], plus both sides of the switch from the series to the closed form at |t| = 1e-2
+    T = np.concatenate([np.logspace(-8, np.log10(500.0), 200), [np.nextafter(1e-2, 0.0), 1e-2, 0.0099, 0.0101]])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_against_quadrature(self, sign):
+        for t in sign * self.T:
+            ref = integrate.quad(lambda s: s / np.expm1(s), 0.0, t, limit=200)[0] / t
+            assert_allclose(C._debye1(t), ref, rtol=1e-10, atol=0)
+
+
 class TestCdf:
     def test_clayton_closed_form(self):
         assert_allclose(C.copula_cdf(C.clayton(2.0), 0.5, 0.5), 7.0 ** -0.5, rtol=1e-12)
@@ -261,6 +272,31 @@ class TestFitting:
         for model, expect in cases:
             assert model.params() == expect, model.family
             assert model.n_params() == len(model.params())
+
+
+class TestScipyStatsOracle:
+    """pseudo_observations and the t-copula's tau start replace scipy.stats;
+    each must equal it bit for bit, ties included."""
+
+    @pytest.mark.parametrize("n", [20, 500, 5000])
+    def test_ordinal_ranks_with_ties(self, n):
+        pts = np.round(np.random.default_rng(n).standard_normal((n, 2)), 1)
+        assert len(np.unique(pts[:, 0])) < n
+        expect = stats.rankdata(pts, method="ordinal", axis=0) / (n + 1.0)
+        assert np.array_equal(C.pseudo_observations(pts).u, expect)
+
+    @pytest.mark.parametrize("n", [20, 500, 5000])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_kendall_tau(self, n, ties):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        y = 0.6 * x + rng.standard_normal(n)
+        if ties:
+            x, y = np.round(x), np.round(y, 1)
+        assert C._kendall_tau(x, y) == stats.kendalltau(x, y).statistic
+
+    def test_kendall_tau_of_a_constant_is_nan(self):
+        assert np.isnan(C._kendall_tau(np.ones(30), np.arange(30.0)))
 
 
 class TestNpCopula:

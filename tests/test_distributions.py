@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, stats
 
 from hdrkit import distributions as D
 
@@ -84,6 +84,23 @@ class TestQuantile:
         p = rng.uniform(1e-4, 1.0 - 1e-4, size=1000)
         q = D.marginal_quantile(m, p)
         assert_allclose(D.marginal_cdf(m, q), p, atol=1e-8)
+
+
+class TestStudentTLowerTail:
+    P = 10.0 ** -np.arange(15, 301)  # every decade from 1e-15 to 1e-300
+
+    @pytest.mark.parametrize("nu", D.NU_GRID)
+    def test_quantile_finite_negative_and_round_trips(self, nu):
+        m = D.student_t(nu)
+        q = D.marginal_quantile(m, self.P)
+        assert np.all(np.isfinite(q)) and np.all(q < 0.0)
+        assert_allclose(D.marginal_cdf(m, q), self.P, rtol=1e-10, atol=0)
+
+    def test_scalar_and_copula_boundary(self):
+        # stdtrit(6, 1e-300) is +inf; a 0-d p stays a float, and p = 0 maps to -inf as in scipy.stats
+        x = D.marginal_quantile(D.student_t(6.0), 1e-300)
+        assert type(x) is float and x < 0.0
+        assert np.array_equal(D._t_ppf(np.array([0.0, 1.0]), 6.0), [-np.inf, np.inf])
 
 
 class TestMixtureQuantile:
@@ -292,3 +309,31 @@ class TestBvtClosedForm:
     def test_nu_not_a_whole_number_raises(self, nu):
         with pytest.raises(ValueError, match="whole number"):
             D.bvt_cdf(RHO, nu, 0.7, -0.3)
+
+
+class TestScipyStatsOracle:
+    """The package forms the normal and t functions from scipy.special alone;
+    each must equal scipy.stats bit for bit."""
+
+    X = np.concatenate([np.random.default_rng(20).standard_t(3.0, 4000) * 3.0, [0.0, -0.0, 1e-300, 40.0, -250.0]])
+    P = np.concatenate([np.random.default_rng(21).uniform(size=4000), [1e-15, 1e-10, 0.5, 1.0 - 1e-15]])
+
+    @pytest.mark.parametrize("nu", D.NU_GRID)
+    def test_student_t(self, nu):
+        m = D.student_t(nu)
+        assert np.array_equal(D.marginal_cdf(m, self.X), stats.t.cdf(self.X, nu))
+        assert np.array_equal(D.marginal_quantile(m, self.P), stats.t.ppf(self.P, nu))
+        assert np.array_equal(D.marginal_pdf(m, self.X), stats.t.pdf(self.X, nu))
+        assert np.array_equal(D._t_logpdf(self.X, nu), stats.t.logpdf(self.X, nu))
+
+    def test_t_profile_loglik(self):
+        x = self.X[:4000]
+        rep = D.fit_marginal_mle(x, "student_t")
+        lls = [np.sum(stats.t.logpdf(x, nu)) for nu in D.NU_GRID]
+        assert rep.loglik == max(lls) and rep.model.nu == D.NU_GRID[int(np.argmax(lls))]
+
+    @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (-2.5, 0.3), (10.0, 7.0)])
+    def test_normal(self, mu, sigma):
+        assert np.array_equal(D.marginal_pdf(D.normal(mu, sigma), self.X), stats.norm.pdf(self.X, mu, sigma))
+        assert np.array_equal(D._norm_pdf(self.X, mu, sigma), stats.norm.pdf(self.X, mu, sigma))
+        assert np.array_equal(D._norm_logpdf(self.X, mu, sigma), stats.norm.logpdf(self.X, mu, sigma))
