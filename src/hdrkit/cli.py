@@ -223,10 +223,12 @@ def _cmd_apply(args) -> int:
     raw = _read_xy_csv(args.input, args.x, args.y)
     pts = raw
     if args.scale == "zscore":
-        mu = raw.mean(axis=0)
-        sd = raw.std(axis=0)
-        if np.any(sd == 0):
-            raise ValueError("cannot z-score a constant column")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = raw.mean(axis=0)
+            sd = raw.std(axis=0)
+        for name, s in zip((args.x, args.y), sd):
+            if not 0.0 < s < np.inf:  # a mean that overflows makes the sd inf or NaN too
+                raise ValueError(f"cannot z-score column {name!r}: its standard deviation is {s:g}")
         pts = (raw - mu) / sd
     result = apply_measures(pts, tokens, alpha=args.alpha, k=args.k, eps=args.eps)
     for t in tokens:

@@ -381,51 +381,14 @@ _ONE_PARAM = {
 }
 
 
-def _kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample Kendall's tau-b, with the tie corrections and arithmetic of
-    ``scipy.stats.kendalltau``; NaN when x or y is constant."""
-    order = np.lexsort((y, x))  # by x, ties by y: pairs tied in x are never discordant
-    x, y = x[order], y[order]
-    ranks = np.unique(y, return_inverse=True)[1]
-
-    def tied(counts):
-        return int((counts * (counts - 1) // 2).sum())
-
-    xtie = tied(np.diff(np.flatnonzero(np.r_[True, x[1:] != x[:-1], True])))
-    ytie = tied(np.bincount(ranks))
-    ntie = tied(np.diff(np.flatnonzero(np.r_[True, (x[1:] != x[:-1]) | (y[1:] != y[:-1]), True])))
-    tot = x.size * (x.size - 1) // 2
-    if xtie == tot or ytie == tot:
-        return float("nan")
-    tau = (tot - xtie - ytie + ntie - 2 * _inversions(ranks)) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
-    return float(min(1.0, max(-1.0, tau)))
-
-
-def _inversions(r: np.ndarray) -> int:
-    """The pairs i < j with r[i] > r[j], for integers r >= 0, counted over
-    the levels of a bottom-up merge sort: at width w, each element of a
-    right block counts the elements of its left block that exceed it."""
-    r = r.astype(np.int64)
-    base = int(r.max()) + 1
-    pos = np.arange(r.size)
-    count, w = 0, 1
-    while w < r.size:
-        pair = pos // (2 * w)
-        right = (pos // w) % 2 == 1
-        key = pair * base + r  # sorted within each block, and by pair across blocks
-        at = np.searchsorted(key[~right], key[right], side="right")
-        count += int(((pair[right] + 1) * w - at).sum())
-        r = np.sort(key) % base  # merge each pair of blocks
-        w *= 2
-    return count
-
-
 def fit_copula_mle(pseudo: PseudoObservations, family: str):
     """Maximize the copula log-likelihood over one family.
 
     Returns ``(CopulaModel, loglik)``. One-parameter families use bounded
     scalar optimization; the Student-t profiles nu over an integer grid,
-    refining rho around the tau-inversion start for each nu.
+    refining rho within 0.25 of the start ``2 sin(pi r / 6)`` for each nu:
+    r, the Pearson correlation of (u, v), is Spearman's rho for uniform
+    margins, and the sine maps it to the elliptical rho (Kruskal, 1958).
     """
     if pseudo.n < 20:
         raise ValueError("need at least 20 pseudo-observations")
@@ -434,8 +397,9 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
     u, v = pseudo.u[:, 0], pseudo.u[:, 1]
 
     if family == STUDENT_T:
-        tau_hat = _kendall_tau(u, v)
-        rho0 = float(np.clip(np.sin(np.pi * tau_hat / 2.0), -_RHO_MAX + 0.01, _RHO_MAX - 0.01))
+        with np.errstate(invalid="ignore", divide="ignore"):  # a constant column: NaN, so the whole range
+            r_s = np.corrcoef(u, v)[0, 1]
+        rho0 = float(np.clip(2.0 * np.sin(np.pi * r_s / 6.0), -_RHO_MAX + 0.01, _RHO_MAX - 0.01))
         lo = max(-_RHO_MAX, rho0 - 0.25)
         hi = min(_RHO_MAX, rho0 + 0.25)
         best = None

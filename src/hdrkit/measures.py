@@ -216,7 +216,10 @@ class FittedMeasure:
         return self._scores(pts)
 
     def score_vector(self, sample: Sample2D) -> ScoreVector:
-        return ScoreVector(self.score(sample.points), self.orientation)
+        try:
+            return ScoreVector(self.score(sample.points), self.orientation)
+        except ValueError as exc:
+            raise ValueError(f"scoring measure {self.spec.kind} failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -294,14 +295,15 @@ class TestPairedReplicates:
         assert len(fits) == 3
 
 
-def _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, n, message, *args):
-    """``apply`` on n points with ``args`` exits 2 with ``message``, having
-    fitted nothing and written no output."""
+def _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, n, message, *args, extra_rows=""):
+    """``apply`` on n normal points plus ``extra_rows`` with ``args`` exits 2
+    with ``message``, having fitted nothing and written no output."""
     fits = []
     fit = benchmark.meas.fit_measure
     monkeypatch.setattr(benchmark.meas, "fit_measure", lambda spec, sample: fits.append(spec) or fit(spec, sample))
     f = tmp_path / "d.csv"
-    f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in np.random.default_rng(9).normal(size=(n, 2)).tolist()))
+    f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in np.random.default_rng(9).normal(size=(n, 2)).tolist())
+                 + extra_rows)
     out = tmp_path / "o.csv"
     code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", *args, "--out", str(out)])
     assert code == 2
@@ -462,6 +464,27 @@ class TestApply:
         # a repeated measure would take two of the consensus votes
         _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, 40, "repeated measure in m1, m1, m2",
                                            "--measures", "m1,m1,m2")
+
+    @pytest.mark.parametrize("measures", ["m1,m3-ecdf", "all"])
+    def test_zscore_overflow_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch, measures):
+        # the standard deviation of a column holding 1e200 squares to inf: every
+        # z-score would be 0, so every point, the outlier too, would be inside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, 200,
+                                               "cannot z-score column 'a': its standard deviation is inf",
+                                               "--measures", measures, extra_rows="1e200,1e200\n")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_scores_name_their_measure(self, tmp_path, capsys):
+        # at this scale the bandwidth's h^2 underflows, so the kernel sums are NaN
+        f = tmp_path / "d.csv"
+        pts = 1e-160 * np.random.default_rng(9).normal(size=(300, 2))
+        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in pts.tolist()))
+        code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--scale", "none", "--measures", "m0-kde",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "error: scoring measure m0-kde failed: scores contain non-finite values" in capsys.readouterr().err
 
     def test_byte_order_mark_skipped(self, tmp_path):
         draws = tmp_path / "d.csv"

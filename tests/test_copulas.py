@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate, stats
+from scipy import integrate, optimize, stats
 
 from hdrkit import copulas as C, core, distributions as D, measures as M
 from hdrkit.core import Sample2D
@@ -221,6 +222,21 @@ class TestSampling:
             C.copula_sample(C.independence(), 0, np.random.default_rng(0))
 
 
+def _t_fit_over_the_whole_range(pseudo):
+    """The t-copula MLE with no start: for each nu of the profile grid, rho
+    searched over the whole of (-0.995, 0.995) to 1e-10. Returns
+    ``(rho, nu, loglik)`` at the first nu of greatest log-likelihood."""
+    u, v = pseudo.u[:, 0], pseudo.u[:, 1]
+    best = None
+    for nu in C.NU_GRID_COPULA:
+        log_c = C._t_log_density(D._t_ppf(u, nu), D._t_ppf(v, nu), nu)
+        res = optimize.minimize_scalar(lambda r: -float(np.sum(log_c(r))), bounds=(-0.995, 0.995),
+                                       method="bounded", options={"xatol": 1e-10})
+        if best is None or -res.fun > best[2]:
+            best = (float(res.x), float(nu), -float(res.fun))
+    return best
+
+
 class TestFitting:
     def test_clayton_recovery(self):
         u = C.copula_sample(C.clayton(2.0), 10 ** 4, np.random.default_rng(8))
@@ -247,6 +263,31 @@ class TestFitting:
             assert_allclose(ll, direct, rtol=1e-12)
         else:
             assert ll == direct
+
+    @pytest.mark.parametrize("sid", ["S1", "S6", "S11", "S16"])
+    @pytest.mark.parametrize("rep", [0, 1])
+    def test_t_fit_does_not_depend_on_its_start(self, sid, rep):
+        from hdrkit import scenarios
+
+        pts = scenarios.sample_scenario(scenarios.scenario(sid), 200, np.random.default_rng(rep)).points
+        pseudo = C.pseudo_observations(pts)
+        model, ll = C.fit_copula_mle(pseudo, "student_t")
+        rho, nu, ll_ref = _t_fit_over_the_whole_range(pseudo)
+        assert model.nu == nu
+        assert abs(model.rho - rho) <= 1e-6
+        assert abs(ll - ll_ref) <= 1e-10 * abs(ll_ref)
+
+    @pytest.mark.parametrize("c", [0.1, 0.9])
+    def test_t_fit_of_a_constant_column(self, c):
+        # a column of 0.1s has variance 0, so the correlation start is NaN and
+        # each nu searches the whole rho range; a column of 0.9s has a
+        # round-off variance, and the start is within 1e-15 of 0
+        u = np.column_stack([np.full(200, c), np.arange(1, 201) / 201.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, _ = C.fit_copula_mle(C.PseudoObservations(u), "student_t")
+        assert abs(model.rho) < 1e-6
+        assert model.nu == 30.0
 
     def test_aic_selects_clayton(self):
         u = C.copula_sample(C.clayton(2.0), 10 ** 4, np.random.default_rng(11))
@@ -275,8 +316,8 @@ class TestFitting:
 
 
 class TestScipyStatsOracle:
-    """pseudo_observations and the t-copula's tau start replace scipy.stats;
-    each must equal it bit for bit, ties included."""
+    """pseudo_observations replaces scipy.stats' ordinal ranks; it must
+    equal them bit for bit, ties included."""
 
     @pytest.mark.parametrize("n", [20, 500, 5000])
     def test_ordinal_ranks_with_ties(self, n):
@@ -284,19 +325,6 @@ class TestScipyStatsOracle:
         assert len(np.unique(pts[:, 0])) < n
         expect = stats.rankdata(pts, method="ordinal", axis=0) / (n + 1.0)
         assert np.array_equal(C.pseudo_observations(pts).u, expect)
-
-    @pytest.mark.parametrize("n", [20, 500, 5000])
-    @pytest.mark.parametrize("ties", [False, True])
-    def test_kendall_tau(self, n, ties):
-        rng = np.random.default_rng(n)
-        x = rng.standard_normal(n)
-        y = 0.6 * x + rng.standard_normal(n)
-        if ties:
-            x, y = np.round(x), np.round(y, 1)
-        assert C._kendall_tau(x, y) == stats.kendalltau(x, y).statistic
-
-    def test_kendall_tau_of_a_constant_is_nan(self):
-        assert np.isnan(C._kendall_tau(np.ones(30), np.arange(30.0)))
 
 
 class TestNpCopula:

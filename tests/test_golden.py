@@ -75,12 +75,12 @@ def test_output_digest(digests, name):
 SCORES = {
     "m0-kde": "1a2df172b999f010524ef64f1adbde40d72180dbb6e48acc8b72cc2a22e911be",
     "m0-npcop": "f641586b1234cd334cbebebc311d868cb8472d838c464620f83bd0110d897491",
-    "m0-pcop": "efc9dc4b39b77b2808b4fb8e25a2caded2be98bbd20ff39423a076ad6027e0eb",
+    "m0-pcop": "de368a1211a93457a8b9aba82b76b26be933ced99b015c656d7891ab7d1ad456",
     "m1": "842bdb4b5e1480be88ec93f507777566be56bba0b8ac1b20da1a30890a858f41",
     "m2": "7002bcbe797a4692bc81cd94f016ad274ef0962e5658b94f3c6124b12feb1619",
     "m3-ecdf": "a499b8eeaa1307f063e36dd869191d2629491c33f851a5ff42b4ff10f77cc712",
     "m3-npcop": "ef9a1c12a9c4b838af3869db3c9d7876a36fd475c8c4e82e3ac0653ba95aa880",
-    "m3-pcop": "623d89cc7e56b26588c10a40c92da16b6109b58ddadd4ddaa11ad5e0efd60811",
+    "m3-pcop": "30978f93b91b09691ee6ac213201c03ea744a6d271e4ccf160f1d5817d3957ed",
 }
 
 
