@@ -89,8 +89,7 @@ class RunConfig:
                 raise ValueError(f"no {what}s given")
             _check_distinct(what, values)
         for m in self.measures:
-            if m not in meas.MEASURE_KINDS:
-                raise ValueError(f"unknown measure {m!r} (choose from {', '.join(meas.MEASURE_KINDS)})")
+            meas.tuned_param(m)  # raises on an unknown measure
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         _check_alpha(self.alpha)

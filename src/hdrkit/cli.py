@@ -36,20 +36,16 @@ from .benchmark import (
 
 log = logging.getLogger("hdrkit")
 
-_ALL_MEASURES = tuple(meas.MEASURE_KINDS)
 _SVG_SIZE, _SVG_MARGIN = 600, 20  # scatter viewbox side and inner margin
 
 
 def _parse_measures(text: str):
     if text.strip().lower() == "all":
-        return _ALL_MEASURES
+        return meas.MEASURE_KINDS
     tokens = tuple(t.strip().lower() for t in text.split(",") if t.strip())
     if not tokens:
         raise ValueError("no measures given")
-    for t in tokens:
-        if t not in meas.MEASURE_KINDS:
-            raise ValueError(f"unknown measure {t!r} (choose from {', '.join(meas.MEASURE_KINDS)} or 'all')")
-    return tokens
+    return tokens  # measures.tuned_param checks each name
 
 
 def _parse_int_list(text: str):
@@ -87,9 +83,11 @@ def _parse_grid(text: str):
 
 def _default_workers() -> int:
     env = os.environ.get("HDR_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"HDR_WORKERS must be a whole number >= 1, got {env!r}")
+    return int(env)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,8 +74,8 @@ class MarginalModel:
 
 
 def normal(mu: float, sigma: float) -> MarginalModel:
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(mu) and 0 < sigma < math.inf):
+        raise ValueError(f"normal needs a finite mu and a positive finite sigma, got mu={mu:g}, sigma={sigma:g}")
     return MarginalModel(NORMAL, mu=float(mu), sigma=float(sigma))
 
 
@@ -90,8 +90,8 @@ def normal_mixture(w: float, mu1: float, mu2: float, sigma: float) -> MarginalMo
     """Two-component normal mixture ``w N(mu1, sigma^2) + (1-w) N(mu2, sigma^2)``."""
     if not 0.0 < w < 1.0:
         raise ValueError("w must be in (0, 1)")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(mu1) and math.isfinite(mu2) and 0 < sigma < math.inf):
+        raise ValueError(f"mixture needs finite means and a positive finite sigma, got {mu1:g}, {mu2:g}, {sigma:g}")
     return MarginalModel(NORMAL_MIXTURE, w=float(w), mu1=float(mu1), mu2=float(mu2), sigma=float(sigma))
 
 
@@ -243,8 +243,9 @@ def fit_marginal_mle(column, family: str) -> FitReport:
         raise ValueError("degenerate sample: zero variance")
 
     if family == NORMAL:
-        mu = float(np.mean(x))
-        sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
+        with np.errstate(over="ignore"):  # normal() rejects a mean or sigma that overflows
+            mu = float(np.mean(x))
+            sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
         model = normal(mu, sigma)
         ll = float(np.sum(_norm_logpdf(x, mu, sigma)))
         return FitReport(model, ll, 1, True)

@@ -11,16 +11,17 @@ Roster (CLI token, orientation):
 * ``m3-npcop``     eps-box probability from ECDF margins + nonparametric copula (concentration)
 * ``m3-pcop``      eps-box probability from parametric margins + copula CDF (concentration)
 
-A measure is its score function. Each kind has one module-level scorer
-that takes what its fit produced, then the (m, 2) queries; ``fit_measure``
-binds it with ``functools.partial`` into a ``FittedMeasure``. Fitting is
-single-threaded; scoring is pure, so one fitted measure can serve many
-workers.
+A kind is its ``_KINDS`` row: tuned hyperparameter, orientation, fewest
+points, fitter, published k or eps rule, and whether it takes marginal
+families. A measure is its score function: the row's fitter binds the
+kind's module-level scorer to what the fit produced, and ``fit_measure``
+wraps it in a ``FittedMeasure``. Fitting is single-threaded; scoring is
+pure, so one fitted measure can serve many workers.
 The query-by-sample passes walk ``core._row_blocks``; the sample's
 marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
-m0-npcop and m3-npcop fitted to one sample share one ECDF and one copula
-fit (``Sample2D.derived(("npcop",), ...)``), as m0-pcop and m3-pcop share
-their parametric fit.
+m0-npcop and m3-npcop share ``_fit_npcop`` and, fitted to one sample, one
+ECDF and copula fit (``Sample2D.derived(("npcop",), ...)``); m0-pcop and
+m3-pcop share ``_fit_pcop`` and its parametric fit likewise.
 m3-ecdf scores the sample's own points from its in-sample Chebyshev
 distance matrix, memoised as ``Sample2D.derived(("chebyshev",), ...)``
 for n <= 2000, so every eps fitted to one sample shares it.
@@ -32,7 +33,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -76,26 +77,6 @@ M3_PCOP_RECT = "m3-pcop"
 UNBOUNDED = "unbounded"
 SIMPLEX = "simplex"
 
-
-class _Kind(NamedTuple):
-    param: str | None  # the hyperparameter it tunes: "k", "eps" or None
-    orientation: Orientation  # which way its scores point
-    min_n: int  # the fewest points it fits
-
-
-# what each kind takes; the copula kinds fit marginal and copula models
-_KINDS = {
-    M0_KDE: _Kind(None, Orientation.CONCENTRATION, 2),
-    M0_NPCOP: _Kind(None, Orientation.CONCENTRATION, 20),
-    M0_PCOP: _Kind(None, Orientation.CONCENTRATION, 20),
-    M1_KNN_EUCL: _Kind("k", Orientation.SPARSITY, 2),
-    M2_KNN_CDF: _Kind("k", Orientation.CONCENTRATION, 2),
-    M3_ECDF_RECT: _Kind("eps", Orientation.CONCENTRATION, 2),
-    M3_NPCOP_RECT: _Kind("eps", Orientation.CONCENTRATION, 20),
-    M3_PCOP_RECT: _Kind("eps", Orientation.CONCENTRATION, 20),
-}
-MEASURE_KINDS = tuple(_KINDS)
-_PCOP_KINDS = (M0_PCOP, M3_PCOP_RECT)
 _MARGINAL_FAMILIES = (dists.NORMAL, dists.STUDENT_T, dists.NORMAL_MIXTURE, dists.BETA11A)
 
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
@@ -137,7 +118,7 @@ class MeasureSpec:
                 raise ValueError("k must be >= 1")
             object.__setattr__(self, "k", int(self.k))  # 2.0 means 2
         if self.marginal_families is not None:
-            if self.kind not in _PCOP_KINDS:
+            if not _KINDS[self.kind].families:
                 raise ValueError(f"{self.kind} takes no marginal families")
             families = tuple(self.marginal_families)
             if len(families) != 2 or not all(f in _MARGINAL_FAMILIES for f in families):
@@ -146,9 +127,10 @@ class MeasureSpec:
 
 
 def tuned_param(kind: str) -> str | None:
-    """The hyperparameter ``kind`` takes: "k", "eps", or None for none."""
+    """The hyperparameter ``kind`` takes: "k", "eps", or None for none;
+    the one check that ``kind`` names a measure."""
     if kind not in _KINDS:
-        raise ValueError(f"unknown measure kind {kind!r}")
+        raise ValueError(f"unknown measure {kind!r} (choose from {', '.join(MEASURE_KINDS)})")
     return _KINDS[kind].param
 
 
@@ -161,7 +143,7 @@ def build_spec(kind: str, k=None, eps=None, support_class: str = UNBOUNDED, marg
         kind,
         k=k if param == "k" else None,
         eps=float(eps) if param == "eps" and eps is not None else None,
-        marginal_families=tuple(marginal_families) if kind in _PCOP_KINDS else None,
+        marginal_families=tuple(marginal_families) if _KINDS[kind].families else None,
         support_class=support_class,
     )
 
@@ -174,23 +156,13 @@ def heuristic_k(n: int) -> int:
 
 
 def heuristic_eps(kind: str, n: int, support_class: str = UNBOUNDED) -> float:
-    """Published box half-width rules per measure and support class."""
+    """Published box half-width rule of an eps-based measure (its ``_KINDS``
+    row's default) for ``n`` points of a support class."""
     if tuned_param(kind) != "eps":
         raise ValueError(f"{kind} is not an eps-based measure")
     if n < 2:
         raise ValueError("n must be >= 2")
-    ln = math.log(n)
-    if support_class == SIMPLEX:
-        if kind == M3_ECDF_RECT:
-            return 0.10
-        if kind == M3_NPCOP_RECT:
-            return math.exp(-1.22 - 0.23 * ln)
-        return 0.02
-    if kind == M3_ECDF_RECT:
-        return math.exp(2.13 - 0.30 * ln)
-    if kind == M3_NPCOP_RECT:
-        return math.exp(1.74 - 0.26 * ln)
-    return math.exp(1.60 - 0.41 * ln)
+    return _KINDS[kind].default(n, support_class)
 
 
 class FittedMeasure:
@@ -317,9 +289,11 @@ class _MarginalKde:
 
     def __init__(self, col: np.ndarray):
         self.col = col
-        sd = float(np.std(col, ddof=1))
-        if sd <= 0:
-            raise ValueError("degenerate sample: zero variance")
+        with np.errstate(over="ignore"):
+            sd = float(np.std(col, ddof=1))
+        if not 0 < sd < math.inf:  # an infinite bandwidth would put every point inside
+            raise ValueError("degenerate sample: zero variance" if sd <= 0
+                             else f"marginal standard deviation is {sd:g}")
         self.h = (4.0 / 3.0) ** 0.2 * sd * col.size ** (-0.2)
 
     def pdf(self, t: np.ndarray) -> np.ndarray:
@@ -329,13 +303,6 @@ class _MarginalKde:
             z = (t[sl, None] - self.col) / self.h
             out[sl] = np.exp(-0.5 * z * z).sum(axis=1)
         return out / (n * self.h * math.sqrt(2.0 * math.pi))
-
-
-def _fit_npcop(sample: Sample2D):
-    """The sample's marginal ECDF and transformation-KDE copula fit, which
-    m0-npcop and m3-npcop fitted to one sample share."""
-    pts = sample.points
-    return sample.derived(("npcop",), lambda: (_MarginalEcdf(pts), copulas.npcop_fit(copulas.pseudo_observations(pts))))
 
 
 def _npcop_density_scores(ecdf: _MarginalEcdf, copfit, marg, q: np.ndarray) -> np.ndarray:
@@ -384,41 +351,101 @@ def _pcop_rect_scores(copula, marginals, eps: float, q: np.ndarray) -> np.ndarra
 
 
 def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
-    """``spec`` with unset hyperparameters filled from the heuristics for a
-    sample of ``n`` points. Raises ValueError when such a sample cannot fit
-    it: each kind needs its ``_KINDS`` minimum; k-based kinds need k <= n;
-    the parametric-copula kinds need their two marginal families."""
+    """``spec`` with an unset k or eps filled from its ``_KINDS`` row's rule
+    for ``n`` points. Raises ValueError when such a sample cannot fit it: each
+    kind needs its row's minimum; k-based kinds need k <= n; the
+    parametric-copula kinds need their two marginal families."""
     kind = _KINDS[spec.kind]
-    if spec.kind in _PCOP_KINDS and spec.marginal_families is None:
+    if kind.families and spec.marginal_families is None:
         raise ValueError(f"{spec.kind} requires marginal_families")
     if n < kind.min_n:
         raise ValueError(f"{spec.kind} needs at least {kind.min_n} points")
-    if kind.param == "k" and spec.k is None:
-        spec = replace(spec, k=heuristic_k(n) if spec.kind == M1_KNN_EUCL else min(30, n))
-    if kind.param == "eps" and spec.eps is None:
-        spec = replace(spec, eps=heuristic_eps(spec.kind, n, spec.support_class))
+    if kind.param and getattr(spec, kind.param) is None:
+        spec = replace(spec, **{kind.param: kind.default(n, spec.support_class)})
     if kind.param == "k" and spec.k > n:
         raise ValueError(f"k={spec.k} exceeds sample size {n}")
     return spec
 
 
-def _fit_parametric(sample: Sample2D, spec: MeasureSpec):
+# fitters: (sample, filled spec) -> (score function, hyperparameters, copula family or None)
+def _fit_kde(sample: Sample2D, spec: MeasureSpec):
+    sbar = float(np.std(sample.points, axis=0, ddof=1).mean())
+    if sbar <= 0:
+        raise ValueError("degenerate sample: zero variance")
+    # normal-scale rule (4/(d+2))^(1/(d+4)) n^(-1/(d+4)) sigma-bar; the
+    # leading constant is exactly 1 for d = 2
+    h = sbar * sample.n ** (-1.0 / 6.0)
+    return partial(_kde_scores, sample.points, h), {"h": h}, None
+
+
+def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
+    return partial(_knn_eucl_scores, sample.points, spec.k), {}, None
+
+
+def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
+    ecdf = _MarginalEcdf(sample.points)
+    return partial(_knn_cdf_scores, sample.points, spec.k, ecdf, ecdf.counts(sample.points) / sample.n), {}, None
+
+
+def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):
+    return partial(_ecdf_rect_scores, sample, spec.eps), {}, None
+
+
+def _fit_npcop(sample: Sample2D, spec: MeasureSpec):
+    """m0-npcop (no eps) or m3-npcop: one sample's ECDF and copula fit serve both."""
+    pts = sample.points
+    # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
+    marg = None if spec.eps else (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1)))
+    ecdf, copfit = sample.derived(("npcop",), lambda: (_MarginalEcdf(pts),
+                                                       copulas.npcop_fit(copulas.pseudo_observations(pts))))
+    hp = {"h1": copfit.h1, "h2": copfit.h2}
+    if spec.eps:
+        return partial(_npcop_rect_scores, ecdf, copfit, spec.eps), hp, None
+    return partial(_npcop_density_scores, ecdf, copfit, marg), dict(hp, hm1=marg[0].h, hm2=marg[1].h), None
+
+
+def _fit_pcop(sample: Sample2D, spec: MeasureSpec):
+    """m0-pcop (no eps) or m3-pcop: one sample's marginal and copula fits serve both."""
     families = spec.marginal_families
 
     def fit():
-        fits = [dists.fit_marginal_mle(sample.column(j), families[j]) for j in range(2)]
-        marginals = (fits[0].model, fits[1].model)
-        u = np.column_stack([
-            dists.marginal_cdf(marginals[0], sample.column(0)),
-            dists.marginal_cdf(marginals[1], sample.column(1)),
-        ])
-        u = np.clip(u, _CDF_CLIP, 1.0 - _CDF_CLIP)
-        pseudo = copulas.PseudoObservations(u)
-        model, _table = copulas.select_copula_aic(pseudo)
+        marginals = tuple(dists.fit_marginal_mle(sample.column(j), families[j]).model for j in range(2))
+        u = np.column_stack([dists.marginal_cdf(marginals[j], sample.column(j)) for j in range(2)])
+        model, _table = copulas.select_copula_aic(copulas.PseudoObservations(np.clip(u, _CDF_CLIP, 1.0 - _CDF_CLIP)))
         return model, marginals
 
-    # m0-pcop and m3-pcop fitted to one sample share this fit
-    return sample.derived(("parametric", families), fit)
+    model, marginals = sample.derived(("parametric", families), fit)
+    scores = (partial(_pcop_rect_scores, model, marginals, spec.eps) if spec.eps
+              else partial(_pcop_density_scores, model, marginals))
+    return scores, model.params(), model.family
+
+
+class _Kind(NamedTuple):
+    param: str | None  # the hyperparameter it tunes: "k", "eps" or None
+    orientation: Orientation  # which way its scores point
+    min_n: int  # the fewest points it fits
+    fit: Callable  # its fitter, above
+    default: Callable | None = None  # (n, support class) -> its published k or eps rule
+    families: bool = False  # it fits the two parametric marginal families a spec names
+
+
+_CONC, _SPARS = Orientation.CONCENTRATION, Orientation.SPARSITY
+# everything a kind is; the copula kinds fit marginal and copula models
+_KINDS = {
+    M0_KDE: _Kind(None, _CONC, 2, _fit_kde),
+    M0_NPCOP: _Kind(None, _CONC, 20, _fit_npcop),
+    M0_PCOP: _Kind(None, _CONC, 20, _fit_pcop, families=True),
+    M1_KNN_EUCL: _Kind("k", _SPARS, 2, _fit_knn_eucl, lambda n, support: heuristic_k(n)),
+    M2_KNN_CDF: _Kind("k", _CONC, 2, _fit_knn_cdf, lambda n, support: min(30, n)),
+    M3_ECDF_RECT: _Kind("eps", _CONC, 2, _fit_ecdf_rect,
+                        lambda n, support: 0.10 if support == SIMPLEX else math.exp(2.13 - 0.30 * math.log(n))),
+    M3_NPCOP_RECT: _Kind("eps", _CONC, 20, _fit_npcop, lambda n, support: math.exp(
+        -1.22 - 0.23 * math.log(n) if support == SIMPLEX else 1.74 - 0.26 * math.log(n))),
+    M3_PCOP_RECT: _Kind("eps", _CONC, 20, _fit_pcop,
+                        lambda n, support: 0.02 if support == SIMPLEX else math.exp(1.60 - 0.41 * math.log(n)),
+                        families=True),
+}
+MEASURE_KINDS = tuple(_KINDS)
 
 
 class FitError(RuntimeError):
@@ -427,47 +454,15 @@ class FitError(RuntimeError):
 
 def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
     """Fit one measure to a sample, its spec filled and checked by
-    ``fill_spec``."""
-    n = sample.n
-    spec = fill_spec(spec, n)
+    ``fill_spec``, with its ``_KINDS`` row's fitter."""
+    spec = fill_spec(spec, sample.n)
     kind = _KINDS[spec.kind]
-    hp = {kind.param: getattr(spec, kind.param)} if kind.param else {}
-    family = None
     try:
-        if spec.kind == M0_KDE:
-            sds = np.std(sample.points, axis=0, ddof=1)
-            sbar = float(sds.mean())
-            if sbar <= 0:
-                raise ValueError("degenerate sample: zero variance")
-            # normal-scale rule (4/(d+2))^(1/(d+4)) n^(-1/(d+4)) sigma-bar; the
-            # leading constant is exactly 1 for d = 2
-            hp["h"] = sbar * n ** (-1.0 / 6.0)
-            scores = partial(_kde_scores, sample.points, hp["h"])
-        elif spec.kind == M1_KNN_EUCL:
-            scores = partial(_knn_eucl_scores, sample.points, spec.k)
-        elif spec.kind == M2_KNN_CDF:
-            ecdf = _MarginalEcdf(sample.points)
-            scores = partial(_knn_cdf_scores, sample.points, spec.k, ecdf, ecdf.counts(sample.points) / n)
-        elif spec.kind == M3_ECDF_RECT:
-            scores = partial(_ecdf_rect_scores, sample, spec.eps)
-        elif spec.kind in (M0_NPCOP, M3_NPCOP_RECT):
-            # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
-            marg = (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1))) if spec.kind == M0_NPCOP else None
-            ecdf, copfit = _fit_npcop(sample)
-            hp.update(h1=copfit.h1, h2=copfit.h2)
-            if marg:
-                hp.update(hm1=marg[0].h, hm2=marg[1].h)
-                scores = partial(_npcop_density_scores, ecdf, copfit, marg)
-            else:
-                scores = partial(_npcop_rect_scores, ecdf, copfit, spec.eps)
-        else:  # the parametric-copula kinds
-            model, marginals = _fit_parametric(sample, spec)
-            family = model.family
-            hp.update(model.params())
-            scores = (partial(_pcop_density_scores, model, marginals) if spec.kind == M0_PCOP
-                      else partial(_pcop_rect_scores, model, marginals, spec.eps))
+        scores, hp, family = kind.fit(sample, spec)
     except Exception as exc:
         raise FitError(f"fitting measure {spec.kind} failed: {exc}") from exc
+    if kind.param:
+        hp[kind.param] = getattr(spec, kind.param)
     return FittedMeasure(spec, scores, hp, family)
 
 

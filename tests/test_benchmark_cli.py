@@ -475,6 +475,27 @@ class TestApply:
                                                "cannot z-score column 'a': its standard deviation is inf",
                                                "--measures", measures, extra_rows="1e200,1e200\n")
 
+    @pytest.mark.parametrize("measures,message", [
+        ("m0-pcop,m3-pcop", "m0-pcop failed: normal needs a finite mu and a positive finite sigma"),
+        ("m0-npcop", "m0-npcop failed: marginal standard deviation is inf"),
+    ])
+    def test_infinite_marginal_scale_fails_the_fit(self, tmp_path, capsys, measures, message):
+        # unscaled, 1e200 squares to inf: a normal marginal with sigma = inf, or
+        # a marginal KDE with an infinite bandwidth, used to put every point,
+        # the outlier too, inside and exit 0
+        f = tmp_path / "d.csv"
+        pts = np.random.default_rng(9).normal(size=(200, 2))
+        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in pts.tolist()) + "1e200,1e200\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--scale", "none",
+                         "--measures", measures, "--out", str(out)])
+        assert code == 2
+        assert f"error: fitting measure {message}" in capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_scores_name_their_measure(self, tmp_path, capsys):
         # at this scale the bandwidth's h^2 underflows, so the kernel sums are NaN
@@ -582,6 +603,18 @@ class TestEnvWorkers:
                 "--reps", "4", "--seed", "42", "--ref-size", "100000", "--out", str(out)]
         assert main(args) == 0
         assert out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "tune"])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_hdr_workers_usage_error(self, tmp_path, monkeypatch, capsys, command, value):
+        # --workers 0 exits 2, so HDR_WORKERS=0 must too, not quietly run one worker
+        monkeypatch.setenv("HDR_WORKERS", value)
+        out = tmp_path / "env.csv"
+        args = (["bench", "--scenarios", "S2", "--n", "60", "--measures", "m1"] if command == "bench"
+                else ["tune", "--scenario", "S2", "--n", "60", "--measure", "m1", "--grid", "2:3"])
+        assert main([*args, "--reps", "4", "--ref-size", "100000", "--out", str(out)]) == 2
+        assert f"error: HDR_WORKERS must be a whole number >= 1, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _IMPORT_GUARD = """

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,23 @@ class TestMle:
     def test_constant_column_errors(self):
         with pytest.raises(ValueError, match="degenerate"):
             D.fit_marginal_mle(np.ones(100), "normal")
+
+    @pytest.mark.parametrize("mu,sigma", [(0.0, math.inf), (0.0, math.nan), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_normal_models_reject_non_finite_parameters(self, mu, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            D.normal(mu, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            D.normal_mixture(0.5, mu, 1.0, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            D.normal_mixture(0.5, 1.0, mu, sigma)
+
+    def test_normal_fit_of_overflowing_squares_fails_quietly(self):
+        # (1e200 - mean)^2 overflows, so sigma is inf: the fit must fail, with no numpy warning
+        x = np.append(np.random.default_rng(15).normal(size=200), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive finite sigma, got mu=4.97.*e\\+197, sigma=inf"):
+                D.fit_marginal_mle(x, "normal")
 
     def test_em_loglik_monotone(self):
         rng = np.random.default_rng(14)

@@ -23,6 +23,26 @@ class TestHeuristics:
         assert_allclose(M.heuristic_eps("m3-pcop", 500), 0.39, atol=0.005)
         assert_allclose(M.heuristic_eps("m3-npcop", 500), 1.13, atol=0.005)
 
+    @pytest.mark.parametrize("support", [M.UNBOUNDED, M.SIMPLEX])
+    @pytest.mark.parametrize("n", [20, 60, 500, 5000])
+    def test_every_default_rule_exact(self, n, support):
+        # the published rules written out; the filled k or eps must be these very numbers
+        ln = math.log(n)
+        simplex = support == M.SIMPLEX
+        want = {
+            "m1": ("k", int(math.floor(math.sqrt(n / 2.0) + 0.5))),
+            "m2": ("k", min(30, n)),
+            "m3-ecdf": ("eps", 0.10 if simplex else math.exp(2.13 - 0.30 * ln)),
+            "m3-npcop": ("eps", math.exp(-1.22 - 0.23 * ln) if simplex else math.exp(1.74 - 0.26 * ln)),
+            "m3-pcop": ("eps", 0.02 if simplex else math.exp(1.60 - 0.41 * ln)),
+        }
+        for kind, (param, value) in want.items():
+            spec = M.fill_spec(M.build_spec(kind, support_class=support, marginal_families=("normal", "normal")), n)
+            got = getattr(spec, param)
+            assert got == value and type(got) is type(value), (kind, got, value)
+            if param == "eps":
+                assert M.heuristic_eps(kind, n, support) == value, kind
+
     def test_eps_simplex(self):
         assert M.heuristic_eps("m3-ecdf", 500, M.SIMPLEX) == 0.10
         assert M.heuristic_eps("m3-pcop", 500, M.SIMPLEX) == 0.02
