@@ -13,10 +13,11 @@ deterministic and give closed-form rectangle probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .core import _row_blocks
 from .distributions import _norm_pdf, _t_cdf, _t_ppf, bvn_cdf, bvt_cdf
@@ -165,6 +166,8 @@ def tau_to_param(family: str, tau: float) -> CopulaModel:
     if family == FRANK:
         if tau == 0.0:
             raise ValueError("Frank tau = 0 is the independence limit")
+        from scipy import optimize  # here, not at the top: scipy.optimize adds ~0.2 s to every CLI start
+
         sign = 1.0 if tau > 0 else -1.0
         f = lambda th: 1.0 - 4.0 / th * (1.0 - _debye1(th)) - tau
         lo, hi = sign * 1e-6, sign * 500.0
@@ -380,12 +383,62 @@ _ONE_PARAM = {
     CLAYTON: (clayton, (1e-6, _THETA_MAX)),
 }
 
+_GOLDEN, _SQRT_EPS = 0.5 * (3.0 - math.sqrt(5.0)), math.sqrt(2.2e-16)
+
+
+def _fminbound(func, lo: float, hi: float, xatol: float):
+    """Minimise ``func`` over [lo, hi] by Brent's bounded search: golden
+    sections with parabolic steps (Brent, *Algorithms for Minimization
+    without Derivatives*, 1973), step for step as scipy's
+    ``minimize_scalar(method="bounded")``, so the result is the same to the
+    bit. Returns ``(x, func(x), failure)``: ``failure`` is None when the
+    search converged, else why it stopped (500 calls, or a NaN)."""
+    a, b = float(lo), float(hi)
+    xf = nfc = fulc = a + _GOLDEN * (b - a)
+    fx = fnfc = ffulc = func(xf)
+    num, fu, rat, e, failure = 1, math.inf, 0.0, 0.0, None
+    xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + xatol / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the best three points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden, rat = False, (p + 0.0) / q
+                if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu, num = func(x), num + 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm, tol1 = 0.5 * (a + b), _SQRT_EPS * abs(xf) + xatol / 3.0
+        if num >= 500:
+            failure = "the bounded search reached 500 function calls"
+            break
+    if math.isnan(xf) or math.isnan(fx) or math.isnan(fu):
+        failure = "the bounded search met a NaN value"
+    return xf, fx, failure
+
 
 def fit_copula_mle(pseudo: PseudoObservations, family: str):
     """Maximize the copula log-likelihood over one family.
 
-    Returns ``(CopulaModel, loglik)``. One-parameter families use bounded
-    scalar optimization; the Student-t profiles nu over an integer grid,
+    Returns ``(CopulaModel, loglik)``. Every search is ``_fminbound``, a
+    bounded Brent search. One-parameter families search their whole
+    parameter range; the Student-t profiles nu over an integer grid,
     refining rho within 0.25 of the start ``2 sin(pi r / 6)`` for each nu:
     r, the Pearson correlation of (u, v), is Spearman's rho for uniform
     margins, and the sine maps it to the elliptical rho (Kruskal, 1958).
@@ -405,10 +458,9 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
         best = None
         for nu in NU_GRID_COPULA:
             log_c = _t_log_density(_t_ppf(u, nu), _t_ppf(v, nu), nu)
-            res = optimize.minimize_scalar(lambda r: -float(np.sum(log_c(r))), bounds=(lo, hi), method="bounded",
-                                           options={"xatol": 1e-6})
-            if best is None or -res.fun > best[2]:
-                best = (float(res.x), float(nu), -float(res.fun))
+            rho, f, _ = _fminbound(lambda r: -float(np.sum(log_c(r))), lo, hi, 1e-6)  # any stop still profiles
+            if best is None or -f > best[2]:
+                best = (rho, float(nu), -f)
         rho, nu, ll = best
         return student_t_copula(rho, nu), ll
 
@@ -419,11 +471,10 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
             return 0.0  # independence limit: density == 1
         return float(np.sum(np.log(copula_pdf(make(p), u, v))))
 
-    res = optimize.minimize_scalar(lambda p: -loglik(p), bounds=bounds, method="bounded", options={"xatol": 1e-7})
-    if not res.success:
-        raise RuntimeError(f"copula MLE did not converge for {family}: {res.message}")
-    param = float(res.x)
-    ll = -float(res.fun)  # the bounded search returns fun = f(x) for its x
+    param, f, failure = _fminbound(lambda p: -loglik(p), *bounds, 1e-7)
+    if failure:
+        raise RuntimeError(f"copula MLE did not converge for {family}: {failure}")
+    ll = -f  # the search returns f(x) for its x
     if family == FRANK and abs(param) < 1e-8:
         param = 1e-8 if param >= 0 else -1e-8  # keep theta != 0; near-independence
     return make(param), ll

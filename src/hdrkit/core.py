@@ -71,8 +71,9 @@ class Sample2D:
         results that are a pure function of the points: the parametric fit
         that m0-pcop and m3-pcop share (key ``("parametric", families)``),
         the ECDF and copula fit that m0-npcop and m3-npcop share
-        (``("npcop",)``) and m3-ecdf's in-sample Chebyshev distance matrix
-        (``("chebyshev",)``)."""
+        (``("npcop",)``), m3-ecdf's in-sample Chebyshev distance matrix
+        (``("chebyshev",)``) and the coordinate span the distance kinds
+        check (``("span",)``)."""
         if key not in self._derived:
             self._derived[key] = compute()
         return self._derived[key]

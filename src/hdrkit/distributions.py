@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.optimize import elementwise
 
 __all__ = [
     "MarginalModel",
@@ -212,6 +211,8 @@ def _mixture_quantile(m: MarginalModel, p: np.ndarray) -> np.ndarray:
     """Chandrupatla's bracketed root solve on the mixture CDF (monotone,
     smooth) for every point at once; each element stops on its own, so a
     root depends only on its own ``p``."""
+    from scipy.optimize import elementwise  # here, not at the top: scipy.optimize adds ~0.2 s to every CLI start
+
     z = special.ndtri(p)
     lo = min(m.mu1, m.mu2) + m.sigma * z - 1.0  # CDF(lo) <= p: both components shifted right of lo
     hi = max(m.mu1, m.mu2) + m.sigma * z + 1.0

@@ -367,11 +367,28 @@ def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
     return spec
 
 
+def _check_span(sample: Sample2D) -> None:
+    """Raise unless ``ptp_x^2 + ptp_y^2`` is finite: it bounds every
+    ``_sq_dist`` entry between sample points, so the distance kinds cannot
+    overflow. The verdict is kept per sample, however many k a tune fits."""
+    def overflow():
+        with np.errstate(over="ignore"):
+            dx, dy = np.ptp(sample.points, axis=0).tolist()
+            if not math.isfinite(dx * dx + dy * dy):
+                return f"the coordinates span {dx:g} by {dy:g}, so squared distances overflow"
+
+    message = sample.derived(("span",), overflow)
+    if message:
+        raise ValueError(message)
+
+
 # fitters: (sample, filled spec) -> (score function, hyperparameters, copula family or None)
 def _fit_kde(sample: Sample2D, spec: MeasureSpec):
-    sbar = float(np.std(sample.points, axis=0, ddof=1).mean())
-    if sbar <= 0:
-        raise ValueError("degenerate sample: zero variance")
+    _check_span(sample)
+    with np.errstate(over="ignore"):
+        sbar = float(np.std(sample.points, axis=0, ddof=1).mean())
+    if not 0 < sbar < math.inf:  # an infinite bandwidth would put every point inside
+        raise ValueError("degenerate sample: zero variance" if sbar <= 0 else f"mean standard deviation is {sbar:g}")
     # normal-scale rule (4/(d+2))^(1/(d+4)) n^(-1/(d+4)) sigma-bar; the
     # leading constant is exactly 1 for d = 2
     h = sbar * sample.n ** (-1.0 / 6.0)
@@ -379,10 +396,12 @@ def _fit_kde(sample: Sample2D, spec: MeasureSpec):
 
 
 def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
+    _check_span(sample)
     return partial(_knn_eucl_scores, sample.points, spec.k), {}, None
 
 
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
+    _check_span(sample)
     ecdf = _MarginalEcdf(sample.points)
     return partial(_knn_cdf_scores, sample.points, spec.k, ecdf, ecdf.counts(sample.points) / sample.n), {}, None
 

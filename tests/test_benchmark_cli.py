@@ -478,11 +478,14 @@ class TestApply:
     @pytest.mark.parametrize("measures,message", [
         ("m0-pcop,m3-pcop", "m0-pcop failed: normal needs a finite mu and a positive finite sigma"),
         ("m0-npcop", "m0-npcop failed: marginal standard deviation is inf"),
+        *[(m, f"{m} failed: the coordinates span 1e+200 by 1e+200, so squared distances overflow")
+          for m in ("m0-kde", "m1", "m2")],
     ])
     def test_infinite_marginal_scale_fails_the_fit(self, tmp_path, capsys, measures, message):
         # unscaled, 1e200 squares to inf: a normal marginal with sigma = inf, or
         # a marginal KDE with an infinite bandwidth, used to put every point,
-        # the outlier too, inside and exit 0
+        # the outlier too, inside and exit 0; the distance kinds' squared
+        # distances overflowed, with numpy warnings, and m2 exited 0
         f = tmp_path / "d.csv"
         pts = np.random.default_rng(9).normal(size=(200, 2))
         f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in pts.tolist()) + "1e200,1e200\n")
@@ -626,10 +629,41 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy",
 """
 
 
-def test_cli_never_imports_scipy_stats_or_integrate(tmp_path):
-    # scipy.stats and scipy.integrate take about half a second to import, which every CLI call would pay
+_OPTIMIZE_GUARD = """
+import json, sys
+from hdrkit.cli import main
+runs = [
+    ["simulate", "--scenario", "S6", "--n", "300", "--seed", "1", "--out", "s6.csv"],
+    ["apply", "--input", "s6.csv", "--x", "x1", "--y", "x2", "--measures", "all", "--out", "o.csv"],
+    ["tune", "--scenario", "S2", "--n", "50", "--measure", "m1", "--grid", "1:5", "--reps", "2", "--out", "k.csv"],
+    ["tune", "--scenario", "S17", "--n", "50", "--measure", "m3-ecdf", "--grid", "0.05,0.1", "--reps", "2",
+     "--out", "e.csv"],
+    ["bench", "--scenarios", "S1,S6,S17", "--n", "40", "--measures", "all", "--reps", "2", "--out", "b.csv"],
+]
+for argv in runs:
+    assert main([*argv, *(["--ref-size", "100000", "--workers", "1"] if argv[0] in ("tune", "bench") else [])]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "linalg"],
+                                                              ["scipy", "sparse"]))
+# the mixture quantile imports scipy.optimize on first use
+assert main(["simulate", "--scenario", "S16", "--n", "300", "--seed", "1", "--out", "s16.csv"]) == 0
+print(json.dumps(loaded))
+"""
+
+
+def _run_guard(tmp_path, script):
     src = os.path.dirname(os.path.dirname(hk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], cwd=tmp_path, env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True,
                           text=True, check=True)
-    assert json.loads(done.stdout.splitlines()[-1]) == []
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_never_imports_scipy_stats_or_integrate(tmp_path):
+    # scipy.stats and scipy.integrate take about half a second to import, which every CLI call would pay
+    assert _run_guard(tmp_path, _IMPORT_GUARD) == []
+
+
+def test_cli_without_mixtures_never_imports_scipy_optimize(tmp_path):
+    # scipy.optimize brings scipy.linalg and scipy.sparse, about 0.2 s and 24 MB
+    # at every start; only the mixture quantile and the Frank tau inversion need it
+    assert _run_guard(tmp_path, _OPTIMIZE_GUARD) == []

@@ -327,6 +327,83 @@ class TestScipyStatsOracle:
         assert np.array_equal(C.pseudo_observations(pts).u, expect)
 
 
+def _same_search(func, lo, hi, xatol):
+    """``_fminbound`` against scipy's bounded Brent search: both must probe
+    the same points, and x, fun and success must agree to the bit."""
+    probes = ([], [])
+    x, fx, failure = C._fminbound(lambda t: probes[0].append(t) or func(t), lo, hi, xatol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the NaN cases
+        res = optimize.minimize_scalar(lambda t: probes[1].append(t) or func(t), bounds=(lo, hi), method="bounded",
+                                       options={"xatol": xatol})
+    assert probes[0] == probes[1]
+    assert np.float64(x).tobytes() == np.float64(res.x).tobytes()
+    assert np.float64(fx).tobytes() == np.float64(res.fun).tobytes()
+    assert (failure is None) == res.success
+    return failure
+
+
+class TestBoundedSearchOracle:
+    """The copula fits' bounded Brent search is a port of scipy's
+    ``minimize_scalar(method="bounded")``; scipy stays its oracle."""
+
+    @pytest.fixture(scope="class", params=["S1", "S6", "S16"])
+    def pseudo(self, request):
+        from hdrkit import scenarios
+
+        pts = scenarios.sample_scenario(scenarios.scenario(request.param), 300, np.random.default_rng(4)).points
+        return C.pseudo_observations(pts)
+
+    def test_t_profile_at_every_nu(self, pseudo):
+        u, v = pseudo.u[:, 0], pseudo.u[:, 1]
+        rho0 = float(np.clip(2.0 * np.sin(np.pi * np.corrcoef(u, v)[0, 1] / 6.0), -0.985, 0.985))
+        for nu in C.NU_GRID_COPULA:
+            log_c = C._t_log_density(D._t_ppf(u, nu), D._t_ppf(v, nu), nu)
+            assert _same_search(lambda r: -float(np.sum(log_c(r))), max(-0.995, rho0 - 0.25),
+                                min(0.995, rho0 + 0.25), 1e-6) is None
+
+    @pytest.mark.parametrize("family", ["gaussian", "frank", "clayton"])
+    def test_one_parameter_logliks(self, pseudo, family):
+        make, (lo, hi) = C._ONE_PARAM[family]
+        u, v = pseudo.u[:, 0], pseudo.u[:, 1]
+
+        def nll(p):
+            if family == "frank" and abs(p) < 1e-8:
+                return -0.0
+            return -float(np.sum(np.log(C.copula_pdf(make(p), u, v))))
+
+        assert _same_search(nll, lo, hi, 1e-7) is None
+
+    def test_flat_and_empty_intervals(self):
+        assert _same_search(lambda x: 1.0, -2.0, 3.0, 1e-7) is None
+        assert _same_search(lambda x: (x - 0.3) ** 2, 0.5, 0.5, 1e-7) is None
+
+    def test_nan_fails(self):
+        assert "NaN" in _same_search(lambda x: float("nan"), -1.0, 1.0, 1e-7)
+        # finite for five calls, NaN after: the search ends on a NaN value
+        def nan_after_five():
+            calls = iter(range(10 ** 6))
+            return lambda x: x * x if next(calls) < 5 else float("nan")
+
+        x, fx, failure = C._fminbound(nan_after_five(), -1.0, 0.7, 1e-7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = optimize.minimize_scalar(nan_after_five(), bounds=(-1.0, 0.7), method="bounded",
+                                           options={"xatol": 1e-7})
+        assert (x, fx, res.success) == (res.x, res.fun, False)
+        assert "NaN" in failure
+
+    def test_call_limit_fails(self):
+        # |x| with no x tolerance never meets the stopping test at 0
+        assert "500 function calls" in _same_search(abs, -1.0, 1.0, 0.0)
+
+    def test_unconverged_fit_names_its_cause(self, monkeypatch):
+        pseudo = C.copula_sample(C.gaussian(RHO), 100, np.random.default_rng(3))
+        monkeypatch.setattr(C, "copula_pdf", lambda c, u, v: np.full(u.shape, np.nan))
+        with pytest.raises(RuntimeError, match="did not converge for gaussian: .*NaN"):
+            C.fit_copula_mle(pseudo, "gaussian")
+
+
 class TestNpCopula:
     def test_bandwidths_near_reference(self):
         u = C.copula_sample(C.independence(), 10 ** 4, np.random.default_rng(14))
