@@ -71,9 +71,11 @@ class Sample2D:
         results that are a pure function of the points: the parametric fit
         that m0-pcop and m3-pcop share (key ``("parametric", families)``),
         the ECDF and copula fit that m0-npcop and m3-npcop share
-        (``("npcop",)``), m3-ecdf's in-sample Chebyshev distance matrix
-        (``("chebyshev",)``) and the coordinate span the distance kinds
-        check (``("span",)``)."""
+        (``("npcop",)``), the in-sample distance matrices that every k of
+        m1 (Euclidean, ``("euclid",)``) and every eps of m3-ecdf (Chebyshev,
+        ``("chebyshev",)``) fitted to the sample share, each kept only up to
+        ``measures._MEMO_MAX`` entries (n <= 2000, 32 MB), and the coordinate
+        span the scale checks read (``("span",)``)."""
         if key not in self._derived:
             self._derived[key] = compute()
         return self._derived[key]
@@ -94,7 +96,7 @@ class ScoreVector:
         arr = np.asarray(scores, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("scores must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("scores contain non-finite values")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -141,6 +143,18 @@ def _row_blocks(m: int, width: int):
         yield slice(i, i + block)
 
 
+def _row_counts(mask: np.ndarray) -> np.ndarray:
+    """The number of True entries in each row of a 2-D boolean mask.
+
+    Summing the mask's bytes into a uint16 accumulator takes about a third
+    of the time of ``np.count_nonzero(mask, axis=1)``, which widens every
+    entry to int64 (500 x 500: 43 against 156 us). Rows longer than a
+    uint16 can count fall back to int64, so no count wraps.
+    """
+    dtype = np.uint16 if mask.shape[1] < 1 << 16 else np.int64
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=dtype)
+
+
 def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries in each row of ``dist``,
     ordered by (value, column index): the first k columns of a stable
@@ -149,7 +163,7 @@ def _k_smallest(dist: np.ndarray, k: int) -> np.ndarray:
     bound = np.take_along_axis(dist, part[:, k - 1 : k], axis=1)  # each row's k-th smallest value
     # widen to every index tied with a row's boundary value so the index
     # tie-break is applied over the full tie group
-    m = int(np.count_nonzero(dist <= bound, axis=1).max())
+    m = int(_row_counts(dist <= bound).max())
     if m > k:
         part = np.argpartition(dist, m - 1, axis=1)
     cand = np.sort(part[:, :m], axis=1)

@@ -48,11 +48,11 @@ def confusion(pred_inside, truth_inside) -> ConfusionCounts:
     t = np.asarray(truth_inside, dtype=bool)
     if p.shape != t.shape:
         raise ValueError("label vectors differ in length")
-    tp = int(np.count_nonzero(~p & ~t))
+    # three counts give the other cells: inside both, inside the prediction, inside the truth
     tn = int(np.count_nonzero(p & t))
-    fp = int(np.count_nonzero(~p & t))
-    fn = int(np.count_nonzero(p & ~t))
-    return ConfusionCounts(tp, fp, tn, fn)
+    pred_in = int(np.count_nonzero(p))
+    true_in = int(np.count_nonzero(t))
+    return ConfusionCounts(p.size - pred_in - true_in + tn, true_in - tn, tn, pred_in - tn)
 
 
 def metrics(c: ConfusionCounts) -> MetricsRow:

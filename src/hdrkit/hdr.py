@@ -35,8 +35,9 @@ def estimate_hdr(scores: ScoreVector, alpha: float) -> HdrRegion:
     coverage guarantee survives ties.
     """
     rank = threshold_index(scores.n, alpha, scores.orientation)
-    ordered = np.sort(scores.scores)
-    return HdrRegion(float(ordered[rank - 1]), scores.orientation, float(alpha))
+    # partial selection puts the rank-th smallest value where a full sort would
+    threshold = np.partition(scores.scores, rank - 1)[rank - 1]
+    return HdrRegion(float(threshold), scores.orientation, float(alpha))
 
 
 def classify(region: HdrRegion, scores) -> np.ndarray:

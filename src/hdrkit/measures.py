@@ -22,9 +22,10 @@ marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
 m0-npcop and m3-npcop share ``_fit_npcop`` and, fitted to one sample, one
 ECDF and copula fit (``Sample2D.derived(("npcop",), ...)``); m0-pcop and
 m3-pcop share ``_fit_pcop`` and its parametric fit likewise.
-m3-ecdf scores the sample's own points from its in-sample Chebyshev
-distance matrix, memoised as ``Sample2D.derived(("chebyshev",), ...)``
-for n <= 2000, so every eps fitted to one sample shares it.
+m1 and m3-ecdf score the sample's own points from its in-sample
+Euclidean and Chebyshev distance matrices, memoised as
+``Sample2D.derived(("euclid",), ...)`` and ``(("chebyshev",), ...)`` for
+n <= 2000, so every k or eps fitted to one sample shares one.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import copulas, distributions as dists
-from .core import Orientation, Sample2D, ScoreVector, _k_smallest, _row_blocks
+from .core import Orientation, Sample2D, ScoreVector, _k_smallest, _row_blocks, _row_counts
 
 __all__ = [
     "MeasureSpec",
@@ -80,8 +81,11 @@ SIMPLEX = "simplex"
 _MARGINAL_FAMILIES = (dists.NORMAL, dists.STUDENT_T, dists.NORMAL_MIXTURE, dists.BETA11A)
 
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
-# largest in-sample Chebyshev matrix m3-ecdf memoises (entries; n <= 2000)
-_CHEBYSHEV_MEMO_MAX = 4_000_000
+# largest in-sample distance matrix m1 (Euclidean) or m3-ecdf (Chebyshev)
+# keeps, in entries: n <= 2000, 32 MB of float64 each
+_MEMO_MAX = 4_000_000
+# smallest span area ptp_x * ptp_y the density kinds fit (see _check_density_scale)
+_DENSITY_AREA_MIN = 1e-303
 
 
 @dataclass(frozen=True)
@@ -207,11 +211,13 @@ def _kde_scores(pts: np.ndarray, h: float, q: np.ndarray) -> np.ndarray:
     return out / (n * 2.0 * np.pi * h * h)
 
 
-def _knn_eucl_scores(pts: np.ndarray, k: int, q: np.ndarray) -> np.ndarray:
+def _knn_eucl_scores(sample: Sample2D, k: int, q: np.ndarray) -> np.ndarray:
+    pts = sample.points
     n = pts.shape[0]
+    memo = _in_sample_matrix(sample, q, "euclid", _euclid)
     out = np.empty(q.shape[0])
     for sl in _row_blocks(q.shape[0], n):
-        d = np.sqrt(_sq_dist(q[sl], pts))
+        d = _euclid(q[sl], pts) if memo is None else memo[sl]
         if k >= n:
             out[sl] = d.sum(axis=1)
         else:
@@ -239,7 +245,7 @@ def _knn_cdf_scores(pts: np.ndarray, k: int, ecdf: _MarginalEcdf, f_pts: np.ndar
     fq = ecdf.counts(q) / n
     out = np.empty(q.shape[0])
     for sl in _row_blocks(q.shape[0], 2 * n):
-        d = np.sqrt(_sq_dist(q[sl], pts))
+        d = _euclid(q[sl], pts)
         # exact ties resolve to the lower sample index
         idx = _k_smallest(d, k)[:, 1:]
         rows = np.arange(idx.shape[0])[:, None]
@@ -259,6 +265,13 @@ def _sq_dist(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.add(np.multiply(dx, dx, out=dx), np.multiply(dy, dy, out=dy), out=dx)  # in place, as in _chebyshev
 
 
+def _euclid(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each query row to each sample point: the
+    square root of ``_sq_dist``, taken in place."""
+    d = _sq_dist(q, pts)
+    return np.sqrt(d, out=d)
+
+
 def _chebyshev(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """max(|dx|, |dy|) from each query row to each sample point. A point is
     in the eps-box of a query exactly when this is <= eps: abs and max are
@@ -269,18 +282,36 @@ def _chebyshev(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(dx, out=dx), np.abs(dy, out=dy), out=dx)
 
 
+def _in_sample_matrix(sample: Sample2D, q: np.ndarray, key: str, dist):
+    """``dist(pts, pts)`` when the queries are the sample's own points and
+    it has at most ``_MEMO_MAX`` entries, else None. It is built once per
+    sample, kept as ``sample.derived((key,), ...)``, so every k or eps
+    fitted to the sample shares it (the C06 tuning curves fit 50 k and 31
+    eps to each), and
+    filled in row blocks, so building it takes no n-by-n temporaries
+    besides itself."""
+    pts = sample.points
+    n = pts.shape[0]
+    if q is not pts or n * n > _MEMO_MAX:
+        return None
+
+    def build():
+        out = np.empty((n, n))
+        for sl in _row_blocks(n, n):
+            out[sl] = dist(pts[sl], pts)
+        return out
+
+    return sample.derived((key,), build)
+
+
 def _ecdf_rect_scores(sample: Sample2D, eps: float, q: np.ndarray) -> np.ndarray:
     pts = sample.points
     n = pts.shape[0]
-    if q is pts and n * n <= _CHEBYSHEV_MEMO_MAX:
-        # in-sample scoring reuses one distance matrix for every eps fitted
-        # to this sample (a tune grid scores up to 31 of them)
-        d = sample.derived(("chebyshev",), lambda: _chebyshev(pts, pts))
-        counts = np.count_nonzero(d <= eps, axis=1)
-    else:
-        counts = np.empty(q.shape[0])
-        for sl in _row_blocks(q.shape[0], n):
-            counts[sl] = np.count_nonzero(_chebyshev(q[sl], pts) <= eps, axis=1)
+    memo = _in_sample_matrix(sample, q, "chebyshev", _chebyshev)
+    counts = np.empty(q.shape[0])
+    for sl in _row_blocks(q.shape[0], n):
+        d = _chebyshev(q[sl], pts) if memo is None else memo[sl]
+        counts[sl] = _row_counts(d <= eps)
     return counts / (n * 4.0 * eps * eps)
 
 
@@ -367,24 +398,43 @@ def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
     return spec
 
 
+def _span(sample: Sample2D) -> tuple:
+    """The coordinates' span ``(ptp_x, ptp_y)``, kept per sample: the scale
+    checks below read it for every k or eps a tune fits."""
+    def span():
+        with np.errstate(over="ignore"):
+            return tuple(np.ptp(sample.points, axis=0).tolist())
+
+    return sample.derived(("span",), span)
+
+
 def _check_span(sample: Sample2D) -> None:
     """Raise unless ``ptp_x^2 + ptp_y^2`` is finite: it bounds every
     ``_sq_dist`` entry between sample points, so the distance kinds cannot
-    overflow. The verdict is kept per sample, however many k a tune fits."""
-    def overflow():
-        with np.errstate(over="ignore"):
-            dx, dy = np.ptp(sample.points, axis=0).tolist()
-            if not math.isfinite(dx * dx + dy * dy):
-                return f"the coordinates span {dx:g} by {dy:g}, so squared distances overflow"
+    overflow."""
+    dx, dy = _span(sample)
+    if not math.isfinite(dx * dx + dy * dy):
+        raise ValueError(f"the coordinates span {dx:g} by {dy:g}, so squared distances overflow")
 
-    message = sample.derived(("span",), overflow)
-    if message:
-        raise ValueError(message)
+
+def _check_density_scale(sample: Sample2D) -> None:
+    """Raise when the coordinates span so small an area that the density
+    kinds' scores overflow. A density is of order ``1/(sd_x * sd_y)``, at
+    least ``1/(ptp_x * ptp_y)``; below ``_DENSITY_AREA_MIN`` that leaves
+    the largest float (1.8e308) less than 1e5 of room for what the scoring
+    reaches over it: 4 to 7 for the peak density of 300 normal points, and
+    about 100 for m0-kde's ``1/(2h^2)``. A constant column is left to the
+    fits' own zero-variance checks."""
+    dx, dy = _span(sample)
+    if dx > 0 and dy > 0 and dx * dy < _DENSITY_AREA_MIN:
+        raise ValueError(f"the data scale is too small: the coordinates span {dx:g} by {dy:g}, "
+                         "so densities overflow")
 
 
 # fitters: (sample, filled spec) -> (score function, hyperparameters, copula family or None)
 def _fit_kde(sample: Sample2D, spec: MeasureSpec):
     _check_span(sample)
+    _check_density_scale(sample)
     with np.errstate(over="ignore"):
         sbar = float(np.std(sample.points, axis=0, ddof=1).mean())
     if not 0 < sbar < math.inf:  # an infinite bandwidth would put every point inside
@@ -397,7 +447,7 @@ def _fit_kde(sample: Sample2D, spec: MeasureSpec):
 
 def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
     _check_span(sample)
-    return partial(_knn_eucl_scores, sample.points, spec.k), {}, None
+    return partial(_knn_eucl_scores, sample, spec.k), {}, None
 
 
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
@@ -413,8 +463,11 @@ def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):
 def _fit_npcop(sample: Sample2D, spec: MeasureSpec):
     """m0-npcop (no eps) or m3-npcop: one sample's ECDF and copula fit serve both."""
     pts = sample.points
-    # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
-    marg = None if spec.eps else (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1)))
+    marg = None
+    if not spec.eps:
+        _check_density_scale(sample)
+        # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
+        marg = (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1)))
     ecdf, copfit = sample.derived(("npcop",), lambda: (_MarginalEcdf(pts),
                                                        copulas.npcop_fit(copulas.pseudo_observations(pts))))
     hp = {"h1": copfit.h1, "h2": copfit.h2}
@@ -426,6 +479,8 @@ def _fit_npcop(sample: Sample2D, spec: MeasureSpec):
 def _fit_pcop(sample: Sample2D, spec: MeasureSpec):
     """m0-pcop (no eps) or m3-pcop: one sample's marginal and copula fits serve both."""
     families = spec.marginal_families
+    if not spec.eps:
+        _check_density_scale(sample)
 
     def fit():
         marginals = tuple(dists.fit_marginal_mle(sample.column(j), families[j]).model for j in range(2))

@@ -499,16 +499,41 @@ class TestApply:
         assert [str(w.message) for w in caught] == []
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_non_finite_scores_name_their_measure(self, tmp_path, capsys):
-        # at this scale the bandwidth's h^2 underflows, so the kernel sums are NaN
+    def test_non_finite_scores_name_their_measure(self, tmp_path, capsys, monkeypatch):
         f = tmp_path / "d.csv"
-        pts = 1e-160 * np.random.default_rng(9).normal(size=(300, 2))
+        pts = np.random.default_rng(9).normal(size=(300, 2))
         f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in pts.tolist()))
+        monkeypatch.setattr(benchmark.meas, "_kde_scores", lambda pts, h, q: np.full(len(q), np.nan))
         code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--scale", "none", "--measures", "m0-kde",
                      "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "error: scoring measure m0-kde failed: scores contain non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("measure", hk.MEASURE_KINDS)
+    def test_tiny_data_scale_fails_the_density_fits(self, tmp_path, capsys, measure):
+        # at this scale m0-kde's 1/(2h^2) overflows (its kernel sums were NaN)
+        # and the copula kinds' density products overflow: each used to print
+        # a numpy warning and fail scoring with non-finite values
+        f = tmp_path / "d.csv"
+        pts = 1e-160 * np.random.default_rng(9).normal(size=(300, 2))
+        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in pts.tolist()))
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--scale", "none",
+                         "--measures", measure, "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        if measure in ("m0-kde", "m0-npcop", "m0-pcop"):
+            assert code == 2
+            assert (f"error: fitting measure {measure} failed: the data scale is too small: the coordinates span "
+                    "4.98179e-160 by 5.64675e-160, so densities overflow") in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert code == 0
+            with open(out) as fh:
+                inside = [r[measure] for r in csv.DictReader(fh)]
+            # the eps kinds' absolute box rules put every point inside at this scale
+            assert len(inside) == 300 and set(inside) == ({"1"} if measure.startswith("m3") else {"0", "1"})
 
     def test_byte_order_mark_skipped(self, tmp_path):
         draws = tmp_path / "d.csv"

@@ -120,6 +120,16 @@ class TestKSmallestRows:
             assert np.array_equal(_k_smallest(d, k), full[:, :k])
 
 
+    def test_tie_group_wider_than_a_byte(self):
+        # 300 columns tie at every row's boundary: a count that wrapped at 256
+        # would leave column 0 out of the candidates
+        d = np.zeros((3, 300))
+        d[:, 1] = -1.0
+        full = np.argsort(d, axis=1, kind="stable")
+        for k in (1, 2, 3, 299):
+            assert np.array_equal(_k_smallest(d, k), full[:, :k]), k
+
+
 class TestThresholdIndex:
     def test_concentration_rank(self):
         assert threshold_index(100, 0.05, Orientation.CONCENTRATION) == 5

@@ -54,6 +54,20 @@ class TestConfusion:
             assert confusion(pred, truth).total == n
 
 
+    def test_matches_four_mask_counts(self):
+        def four_masks(p, t):
+            return tuple(int(np.count_nonzero(m)) for m in (~p & ~t, ~p & t, p & t, p & ~t))
+
+        rng = np.random.default_rng(2)
+        pairs = [(rng.random(n) < rng.random(), rng.random(n) < rng.random()) for n in rng.integers(1, 400, 50)]
+        ones, zeros = np.ones(120, dtype=bool), np.zeros(120, dtype=bool)
+        half = np.arange(120) < 60
+        pairs += [(ones, ones), (zeros, zeros), (ones, zeros), (zeros, ones), (half, ~half), (~half, half)]
+        for pred, truth in pairs:
+            c = confusion(pred, truth)
+            assert (c.tp, c.fp, c.tn, c.fn) == four_masks(pred, truth)
+
+
 class TestMetrics:
     def test_worked_example(self):
         row = metrics(ConfusionCounts(tp=3, fp=5, tn=90, fn=2))

@@ -25,6 +25,16 @@ class TestEstimateHdr:
             assert np.all(classify(region, scores.scores))
 
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.3, 0.5, 0.95])
+    def test_threshold_is_sorted_order_statistic_on_ties(self, alpha):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 7, 50, 500):
+            for values in (rng.integers(0, 4, n).astype(float), np.round(rng.normal(size=n), 1), np.zeros(n)):
+                for orient in Orientation:
+                    region = estimate_hdr(ScoreVector(values, orient), alpha)
+                    assert region.threshold == np.sort(values)[threshold_index(n, alpha, orient) - 1]
+
+
 class TestClassify:
     def test_inclusive_at_threshold(self):
         scores = ScoreVector(np.arange(1.0, 101.0), Orientation.CONCENTRATION)

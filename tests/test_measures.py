@@ -411,7 +411,7 @@ class TestEcdfRectMemo:
         # a copy of the points is not the sample's own array: blocked pass
         copied = [f.score(samp.points.copy()) for f in fits]
         # the sample's own points, but too many to memoise: blocked pass in blocks of 6 rows
-        monkeypatch.setattr(M, "_CHEBYSHEV_MEMO_MAX", 80 * 80 - 1)
+        monkeypatch.setattr(M, "_MEMO_MAX", 80 * 80 - 1)
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 500)
         blocked = [f.score(samp.points) for f in fits]
         for eps, a, b, c in zip(self.EPS, memo, copied, blocked):
@@ -421,12 +421,12 @@ class TestEcdfRectMemo:
     def test_memo_not_stored_beyond_one_block(self, monkeypatch):
         # the memo cap, not the row-block budget, decides
         pts = np.random.default_rng(27).normal(size=(60, 2))
-        monkeypatch.setattr(M, "_CHEBYSHEV_MEMO_MAX", 60 * 60 - 1)
+        monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60 - 1)
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 10 ** 9)
         samp = Sample2D(pts)
         M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
         assert ("chebyshev",) not in samp._derived
-        monkeypatch.setattr(M, "_CHEBYSHEV_MEMO_MAX", 60 * 60)
+        monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60)
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 1)
         M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
         assert samp._derived[("chebyshev",)].shape == (60, 60)
@@ -447,6 +447,71 @@ class TestEcdfRectMemo:
                            workers=1)
         assert len(rows) == 4
         assert len(calls) == 5
+
+
+class TestKnnEuclMemo:
+    @pytest.mark.parametrize("case", ["random", "rounded", "duplicated"])
+    def test_memo_bit_identical_to_blocked_pass(self, monkeypatch, case):
+        rng = np.random.default_rng(29)
+        pts = {
+            "random": rng.normal(size=(80, 2)),
+            # a 0.1 grid ties many distances, the k-th one too
+            "rounded": np.round(rng.uniform(0.0, 1.0, size=(80, 2)), 1),
+            "duplicated": np.repeat(rng.normal(size=(20, 2)), 4, axis=0),
+        }[case]
+        samp = Sample2D(pts)
+        ks = (1, 7, 79, 80)
+        fits = [M.fit_measure(M.MeasureSpec("m1", k=k), samp) for k in ks]
+        memo = [f.score_vector(samp).scores for f in fits]
+        assert samp._derived[("euclid",)].shape == (80, 80)
+        # a copy of the points is not the sample's own array: blocked pass
+        copied = [f.score(samp.points.copy()) for f in fits]
+        # the sample's own points, but too many to memoise: blocked pass in blocks of 6 rows
+        monkeypatch.setattr(M, "_MEMO_MAX", 80 * 80 - 1)
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 500)
+        blocked = [f.score(samp.points) for f in fits]
+        for k, a, b, c in zip(ks, memo, copied, blocked):
+            assert np.array_equal(a, b), k
+            assert np.array_equal(a, c), k
+            assert np.array_equal(a, knn_eucl_scores(pts, pts, k)), k
+
+    def test_memo_not_stored_beyond_cap(self, monkeypatch):
+        pts = np.random.default_rng(30).normal(size=(60, 2))
+        monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60 - 1)
+        samp = Sample2D(pts)
+        M.fit_measure(M.MeasureSpec("m1", k=5), samp).score_vector(samp)
+        assert ("euclid",) not in samp._derived
+        monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60)
+        M.fit_measure(M.MeasureSpec("m1", k=5), samp).score_vector(samp)
+        assert samp._derived[("euclid",)].shape == (60, 60)
+
+    def test_k_grid_builds_matrix_once_per_replicate(self, monkeypatch):
+        calls = []
+        euclid = M._euclid
+        monkeypatch.setattr(M, "_euclid", lambda *a: calls.append(1) or euclid(*a))
+        _, rows = run_tune("S2", 50, "m1", [1, 5, 20, 50], reps=5, seed=42, ref_size=10 ** 5, workers=1)
+        assert len(rows) == 4
+        assert len(calls) == 5
+
+
+class TestRowCounts:
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_counts_exact_when_every_point_is_in_every_box(self, n):
+        # above 255 a uint8 accumulator would wrap; the memo path at its cap
+        # (n = 2000) and the blocked pass must both count every point
+        pts = np.random.default_rng(31).uniform(0.0, 1.0, size=(n, 2))
+        samp = Sample2D(pts)
+        f = M.fit_measure(M.MeasureSpec("m3-ecdf", eps=2.0), samp)
+        expect = np.full(n, n / (n * 4.0 * 2.0 * 2.0))
+        assert np.array_equal(f.score_vector(samp).scores, expect)
+        assert ("chebyshev",) in samp._derived
+        assert np.array_equal(f.score(pts.copy()), expect)
+
+    def test_rows_wider_than_uint16_do_not_wrap(self):
+        mask = np.ones((2, (1 << 16) + 3), dtype=bool)
+        mask[1, ::2] = False
+        assert core._row_counts(mask).tolist() == [(1 << 16) + 3, (1 << 15) + 1]
+        assert core._row_counts(mask[:, : 1 << 15]).tolist() == [1 << 15, 1 << 14]
 
 
 class TestRectScores:
