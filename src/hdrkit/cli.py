@@ -224,9 +224,15 @@ def _cmd_apply(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             mu = raw.mean(axis=0)
             sd = raw.std(axis=0)
-        for name, s in zip((args.x, args.y), sd):
-            if not 0.0 < s < np.inf:  # a mean that overflows makes the sd inf or NaN too
-                raise ValueError(f"cannot z-score column {name!r}: its standard deviation is {s:g}")
+        for j, name in enumerate((args.x, args.y)):
+            col = raw[:, j]
+            if sd[j] == 0 and col.min() < col.max():
+                # at a scale near 1e-170 the squared deviations underflow to 0:
+                # take the sd at unit scale, then scale it back
+                big = np.abs(col).max()
+                sd[j] = (col / big).std() * big
+            if not 0.0 < sd[j] < np.inf:  # a mean that overflows makes the sd inf or NaN too
+                raise ValueError(f"cannot z-score column {name!r}: its standard deviation is {sd[j]:g}")
         pts = (raw - mu) / sd
     result = apply_measures(pts, tokens, alpha=args.alpha, k=args.k, eps=args.eps)
     for t in tokens:

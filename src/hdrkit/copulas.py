@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import _row_blocks
+from .core import _each_row_block, _row_blocks, _thread_map, _threads
 from .distributions import _norm_pdf, _t_cdf, _t_ppf, bvn_cdf, bvt_cdf
 
 __all__ = [
@@ -527,9 +527,10 @@ class NpCopulaFit:
 
 
 # sample points per chunk of npcop_rect_prob's kernel tables: at n = 5000,
-# m3-npcop's ~3,300 distinct bounds per axis make each table 0.8 MB, so
-# both stay in L2. Widths 16-128 timed within 10% of each other; 64 and up
-# added 6 MB or more to apply's peak RSS.
+# m3-npcop's ~3,300 distinct bounds per axis make each table 0.8 MB, so a
+# thread's two tables and its 512-row gathers (1.9 MB) stay in its core's
+# 2 MB L2. On two threads, widths 16 and 64 made `apply --measures all` no
+# faster, and 64 raised its peak RSS from 65.4 to 68.5 MB.
 _NPCOP_CHUNK = 32
 
 
@@ -559,11 +560,14 @@ def npcop_pdf(fit: NpCopulaFit, u, v):
     z1 = fit.z[:, 0]
     z2 = fit.z[:, 1]
     out = np.empty(uf.size)
-    for sl in _row_blocks(uf.size, fit.n):
+
+    def block(sl):
         kern = np.exp(
             -0.5 * (((s[sl, None] - z1) / fit.h1) ** 2 + ((t[sl, None] - z2) / fit.h2) ** 2)
         )
         out[sl] = kern.sum(axis=-1)
+
+    _each_row_block(uf.size, fit.n, block)
     out /= fit.n * 2.0 * np.pi * fit.h1 * fit.h2
     out /= _norm_pdf(s) * _norm_pdf(t)
     if scalar:
@@ -589,6 +593,11 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
     by chunk from left to right. The chunks are fixed, so the result for a
     query depends only on its own bounds and the fit, not on the other
     queries or on the row blocks.
+
+    A large call splits the chunks over ``core._threads``: a thread takes
+    a whole chunk, builds its two tables and sums it into a vector of its
+    own, and the calling thread adds those vectors in chunk order. No table
+    entry is computed twice and every sum keeps its order.
     """
     u_lo = np.asarray(u_lo, dtype=float)
     u_hi = np.asarray(u_hi, dtype=float)
@@ -605,8 +614,8 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
         cu, iu = np.unique(special.ndtri(np.concatenate((u_lo.ravel(), u_hi.ravel()))), return_inverse=True)
         cv, iv = np.unique(special.ndtri(np.concatenate((v_lo.ravel(), v_hi.ravel()))), return_inverse=True)
     iu_lo, iu_hi, iv_lo, iv_hi = iu[:m], iu[m:], iv[:m], iv[m:]
-    out = np.zeros(m)
-    for j in range(0, fit.n, _NPCOP_CHUNK):
+
+    def chunk_sums(j):
         z = fit.z[j : j + _NPCOP_CHUNK]
         tab_u = cu[:, None] - z[:, 0]
         tab_u /= fit.h1
@@ -614,13 +623,20 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
         tab_v = cv[:, None] - z[:, 1]
         tab_v /= fit.h2
         special.ndtr(tab_v, out=tab_v)
-        for sl in _row_blocks(m, z.shape[0]):
+        sums = np.empty(m)
+        # a quarter of the rows a block may take: each thread's gathers stay small
+        for sl in _row_blocks(m, 4 * z.shape[0]):
             du = tab_u[iu_hi[sl]]
             du -= tab_u[iu_lo[sl]]
             dv = tab_v[iv_hi[sl]]
             dv -= tab_v[iv_lo[sl]]
             du *= dv
-            out[sl] += du.sum(axis=-1)
+            sums[sl] = du.sum(axis=-1)
+        return sums
+
+    out = np.zeros(m)
+    for sums in _thread_map(chunk_sums, range(0, fit.n, _NPCOP_CHUNK), _threads(m * fit.n)):
+        out += sums
     out = np.clip(out / fit.n, 0.0, 1.0)
     if not shape:
         return float(out[0])

@@ -1,5 +1,5 @@
-"""Shared primitives: bivariate samples, the blocked query-by-sample pass,
-nearest neighbors, quantile ranks.
+"""Shared primitives: bivariate samples, the blocked query-by-sample pass
+and the threads it runs on, nearest neighbors, quantile ranks.
 
 Everything in this module is deterministic and pure. Samples are immutable
 after construction (a sample only remembers results derived from its
@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -72,10 +75,10 @@ class Sample2D:
         that m0-pcop and m3-pcop share (key ``("parametric", families)``),
         the ECDF and copula fit that m0-npcop and m3-npcop share
         (``("npcop",)``), the in-sample distance matrices that every k of
-        m1 (Euclidean, ``("euclid",)``) and every eps of m3-ecdf (Chebyshev,
-        ``("chebyshev",)``) fitted to the sample share, each kept only up to
-        ``measures._MEMO_MAX`` entries (n <= 2000, 32 MB), and the coordinate
-        span the scale checks read (``("span",)``)."""
+        m1 and m2 (Euclidean, ``("euclid",)``) and every eps of m3-ecdf
+        (Chebyshev, ``("chebyshev",)``) fitted to the sample share, each
+        kept only up to ``measures._MEMO_MAX`` entries (n <= 2000, 32 MB),
+        and the coordinate span the scale checks read (``("span",)``)."""
         if key not in self._derived:
             self._derived[key] = compute()
         return self._derived[key]
@@ -132,15 +135,65 @@ def _row_blocks(m: int, width: int):
     twice as slow, and a 262,144-entry one (2 MB) gained nothing. Each
     row's result does not depend on where the blocks split.
 
-    Callers keep the loop body: a block's temporaries then live until the
-    next block's replace them. Freeing them after every block, as a
-    per-block callback would, makes the allocator hand the memory back and
-    fault it in again; for m0-kde at n = 5000 that took 183,000 minor page
-    faults instead of 600, and 2.7 times as long.
+    A kernel frees its temporaries after every block, whether it loops
+    over the blocks itself or hands ``_each_row_block`` a per-block
+    callback, and the next block takes them from the heap again. That
+    faults no pages in only because of the block freed at import above:
+    m0-kde at n = 5000 took 0 minor faults per scoring call on one thread
+    and 0.4 on two (``resource.getrusage`` over 5 calls after a first),
+    against 146,541 for the callback and the loop alike under a fixed
+    128 KB mmap threshold (``MALLOC_MMAP_THRESHOLD_=131072``), under which
+    a call took 2.3 to 4.4 times as long.
     """
     block = max(1, _BLOCK_BUDGET // width)
     for i in range(0, m, block):
         yield slice(i, i + block)
+
+
+# queries x sample points below which a pass stays on the calling thread:
+# in-sample scoring threads from n = 1024, so the replicates of `bench` and
+# `tune` grids (n <= 500 in the paper's tables) never pay a thread hand-off
+_THREAD_MIN = 1 << 20
+
+_pool = None  # (process id, most threads, executor), made on first use
+
+
+def _threads(entries: int) -> int:
+    """How many threads a pass over ``entries`` query-by-sample entries
+    runs on: one per CPU this process may use (so ``taskset`` limits it),
+    but one below ``_THREAD_MIN`` entries, and one inside a
+    ``multiprocessing`` worker, whose pool already takes a CPU per
+    process."""
+    if entries < _THREAD_MIN or multiprocessing.parent_process() is not None:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _thread_map(fn, items, threads: int):
+    """``fn`` over ``items``, with the results in order: on the calling
+    thread when ``threads`` is at most 1, else on a pool of at least that
+    many worker threads. The pool is made on first use, never at import, again for a
+    call that wants more threads than it has, and afresh in a forked
+    child, whose copy of its parent's pool has no threads.
+    ``fn`` must not call a function that ``perfbench/spans.py`` wraps: the
+    tracer keeps one span stack, for the calling thread."""
+    global _pool
+    if threads <= 1:
+        return map(fn, items)
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid or _pool[1] < threads:
+        _pool = (pid, threads, ThreadPoolExecutor(threads, thread_name_prefix="hdrkit"))
+    return _pool[2].map(fn, items)
+
+
+def _each_row_block(m: int, width: int, body) -> None:
+    """``body(sl)`` for every slice of ``_row_blocks(m, width)``. With k
+    ``_threads``, each thread takes every k-th block; ``body`` writes only
+    its own rows of the output, so no result depends on the split."""
+    blocks = list(_row_blocks(m, width))
+    k = min(_threads(m * width), len(blocks))
+    for _ in _thread_map(lambda t: [body(sl) for sl in blocks[t::k]], range(k), k):
+        pass
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

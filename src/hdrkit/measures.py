@@ -17,13 +17,14 @@ families. A measure is its score function: the row's fitter binds the
 kind's module-level scorer to what the fit produced, and ``fit_measure``
 wraps it in a ``FittedMeasure``. Fitting is single-threaded; scoring is
 pure, so one fitted measure can serve many workers.
-The query-by-sample passes walk ``core._row_blocks``; the sample's
+The query-by-sample passes walk ``core._row_blocks``, all but m2's through
+``core._each_row_block``, which puts a large pass on threads; the sample's
 marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
 m0-npcop and m3-npcop share ``_fit_npcop`` and, fitted to one sample, one
 ECDF and copula fit (``Sample2D.derived(("npcop",), ...)``); m0-pcop and
 m3-pcop share ``_fit_pcop`` and its parametric fit likewise.
-m1 and m3-ecdf score the sample's own points from its in-sample
-Euclidean and Chebyshev distance matrices, memoised as
+m1 and m2 score the sample's own points from its in-sample Euclidean
+distance matrix, and m3-ecdf from its Chebyshev one, memoised as
 ``Sample2D.derived(("euclid",), ...)`` and ``(("chebyshev",), ...)`` for
 n <= 2000, so every k or eps fitted to one sample shares one.
 """
@@ -39,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import copulas, distributions as dists
-from .core import Orientation, Sample2D, ScoreVector, _k_smallest, _row_blocks, _row_counts
+from .core import Orientation, Sample2D, ScoreVector, _each_row_block, _k_smallest, _row_blocks, _row_counts
 
 __all__ = [
     "MeasureSpec",
@@ -81,7 +82,7 @@ SIMPLEX = "simplex"
 _MARGINAL_FAMILIES = (dists.NORMAL, dists.STUDENT_T, dists.NORMAL_MIXTURE, dists.BETA11A)
 
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
-# largest in-sample distance matrix m1 (Euclidean) or m3-ecdf (Chebyshev)
+# largest in-sample distance matrix m1 and m2 (Euclidean) or m3-ecdf (Chebyshev)
 # keeps, in entries: n <= 2000, 32 MB of float64 each
 _MEMO_MAX = 4_000_000
 # smallest span area ptp_x * ptp_y the density kinds fit (see _check_density_scale)
@@ -206,8 +207,11 @@ def _kde_scores(pts: np.ndarray, h: float, q: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     out = np.empty(q.shape[0])
     inv2h2 = 1.0 / (2.0 * h * h)
-    for sl in _row_blocks(q.shape[0], n):
+
+    def block(sl):
         out[sl] = np.exp(-_sq_dist(q[sl], pts) * inv2h2).sum(axis=1)
+
+    _each_row_block(q.shape[0], n, block)
     return out / (n * 2.0 * np.pi * h * h)
 
 
@@ -216,13 +220,16 @@ def _knn_eucl_scores(sample: Sample2D, k: int, q: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
     memo = _in_sample_matrix(sample, q, "euclid", _euclid)
     out = np.empty(q.shape[0])
-    for sl in _row_blocks(q.shape[0], n):
+
+    def block(sl):
         d = _euclid(q[sl], pts) if memo is None else memo[sl]
         if k >= n:
             out[sl] = d.sum(axis=1)
         else:
             # the sum of the k smallest values is tie-invariant
             out[sl] = np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
+
+    _each_row_block(q.shape[0], n, block)
     return out
 
 
@@ -239,13 +246,17 @@ class _MarginalEcdf:
         return np.column_stack([np.searchsorted(self.sorted_cols[j], q[:, j], side="right") for j in range(2)])
 
 
-def _knn_cdf_scores(pts: np.ndarray, k: int, ecdf: _MarginalEcdf, f_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # f_pts: the ECDF values of the sample points themselves
+def _knn_cdf_scores(sample: Sample2D, k: int, ecdf: _MarginalEcdf, f_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # f_pts: the ECDF values of the sample points themselves. One thread: on
+    # two, its short blocks (6 rows at n = 5000) took longer, at 1.5 to 2
+    # times the CPU time
+    pts = sample.points
     n = pts.shape[0]
+    memo = _in_sample_matrix(sample, q, "euclid", _euclid)
     fq = ecdf.counts(q) / n
     out = np.empty(q.shape[0])
     for sl in _row_blocks(q.shape[0], 2 * n):
-        d = _euclid(q[sl], pts)
+        d = _euclid(q[sl], pts) if memo is None else memo[sl]
         # exact ties resolve to the lower sample index
         idx = _k_smallest(d, k)[:, 1:]
         rows = np.arange(idx.shape[0])[:, None]
@@ -287,9 +298,9 @@ def _in_sample_matrix(sample: Sample2D, q: np.ndarray, key: str, dist):
     it has at most ``_MEMO_MAX`` entries, else None. It is built once per
     sample, kept as ``sample.derived((key,), ...)``, so every k or eps
     fitted to the sample shares it (the C06 tuning curves fit 50 k and 31
-    eps to each), and
-    filled in row blocks, so building it takes no n-by-n temporaries
-    besides itself."""
+    eps to each), as do m1 and m2 for the Euclidean one. It is filled in
+    row blocks, so building it takes no n-by-n temporaries besides
+    itself."""
     pts = sample.points
     n = pts.shape[0]
     if q is not pts or n * n > _MEMO_MAX:
@@ -297,8 +308,11 @@ def _in_sample_matrix(sample: Sample2D, q: np.ndarray, key: str, dist):
 
     def build():
         out = np.empty((n, n))
-        for sl in _row_blocks(n, n):
+
+        def block(sl):
             out[sl] = dist(pts[sl], pts)
+
+        _each_row_block(n, n, block)
         return out
 
     return sample.derived((key,), build)
@@ -309,9 +323,12 @@ def _ecdf_rect_scores(sample: Sample2D, eps: float, q: np.ndarray) -> np.ndarray
     n = pts.shape[0]
     memo = _in_sample_matrix(sample, q, "chebyshev", _chebyshev)
     counts = np.empty(q.shape[0])
-    for sl in _row_blocks(q.shape[0], n):
+
+    def block(sl):
         d = _chebyshev(q[sl], pts) if memo is None else memo[sl]
         counts[sl] = _row_counts(d <= eps)
+
+    _each_row_block(q.shape[0], n, block)
     return counts / (n * 4.0 * eps * eps)
 
 
@@ -330,9 +347,12 @@ class _MarginalKde:
     def pdf(self, t: np.ndarray) -> np.ndarray:
         n = self.col.size
         out = np.empty(t.size)
-        for sl in _row_blocks(t.size, n):
+
+        def block(sl):
             z = (t[sl, None] - self.col) / self.h
             out[sl] = np.exp(-0.5 * z * z).sum(axis=1)
+
+        _each_row_block(t.size, n, block)
         return out / (n * self.h * math.sqrt(2.0 * math.pi))
 
 
@@ -453,7 +473,7 @@ def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
     _check_span(sample)
     ecdf = _MarginalEcdf(sample.points)
-    return partial(_knn_cdf_scores, sample.points, spec.k, ecdf, ecdf.counts(sample.points) / sample.n), {}, None
+    return partial(_knn_cdf_scores, sample, spec.k, ecdf, ecdf.counts(sample.points) / sample.n), {}, None
 
 
 def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import hdrkit as hk
-from hdrkit import benchmark
+from hdrkit import benchmark, core
 from hdrkit.benchmark import RunConfig, apply_measures, measure_spec_for, replicate_rng, run_bench, run_tune
 from hdrkit.cli import main
 
@@ -40,6 +40,27 @@ class TestDeterminism:
         assert main(_bench_args(out1, workers=1)) == 0
         assert main(_bench_args(out4, workers=4)) == 0
         assert out1.read_bytes() == out4.read_bytes()
+
+    def test_threads_change_no_byte(self, tmp_path, monkeypatch):
+        # with the threshold forced to 0, every pass of a --workers 1 run goes
+        # on two threads, and a --workers 2 run's pool workers stay on one
+        def outputs(tag, workers):
+            out, summary, tune = (tmp_path / f"{tag}-{name}.csv" for name in ("r", "s", "t"))
+            assert main(["bench", "--scenarios", "S2", "--n", "60", "--measures", "all", "--reps", "4",
+                         "--seed", "42", "--ref-size", "100000", "--out", str(out), "--summary", str(summary),
+                         "--workers", str(workers)]) == 0
+            assert main(["tune", "--scenario", "S2", "--n", "60", "--measure", "m3-npcop", "--grid", "0.1,0.3",
+                         "--reps", "4", "--seed", "42", "--ref-size", "100000", "--out", str(tune),
+                         "--workers", str(workers)]) == 0
+            return [p.read_bytes() for p in (out, summary, tune)]
+
+        serial = outputs("serial", 1)
+        monkeypatch.setattr(core, "_THREAD_MIN", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(core, "_pool", None)
+        assert outputs("threads", 1) == serial
+        assert core._pool is not None
+        assert outputs("workers", 2) == serial
 
     def test_replicate_streams_independent_of_measure_order(self):
         def rows(measures):
@@ -474,6 +495,37 @@ class TestApply:
             _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, 200,
                                                "cannot z-score column 'a': its standard deviation is inf",
                                                "--measures", measures, extra_rows="1e200,1e200\n")
+
+    def test_zscore_at_tiny_scale(self, tmp_path):
+        # at 1e-170 the squared deviations underflow to 0, so apply used to
+        # exit 2 with "its standard deviation is 0"; the z-scores are those
+        # of the same points at unit scale, to within rounding
+        pts = np.random.default_rng(9).normal(size=(300, 2))
+        inside = []
+        for scale in (1.0, 1e-170):
+            f = tmp_path / "d.csv"
+            f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in (scale * pts).tolist()))
+            out = tmp_path / "o.csv"
+            assert main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "all",
+                         "--out", str(out)]) == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 300
+            inside.append({m: sum(r[m] == "1" for r in rows) for m in hk.MEASURE_KINDS})
+        assert all(270 <= v < 300 for v in inside[1].values()), inside[1]
+        assert all(abs(inside[0][m] - inside[1][m]) <= 2 for m in hk.MEASURE_KINDS), inside
+
+    @pytest.mark.parametrize("value", ["2.5", "1e-170"])
+    def test_zscore_constant_column_usage_error_before_any_fit(self, tmp_path, capsys, monkeypatch, value):
+        fits = []
+        monkeypatch.setattr(benchmark.meas, "fit_measure", lambda spec, sample: fits.append(spec))
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n" + "".join(f"{value},{y}\n" for y in np.random.default_rng(9).normal(size=300).tolist()))
+        code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m1",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "cannot z-score column 'a': its standard deviation is 0" in capsys.readouterr().err
+        assert fits == [] and not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("measures,message", [
         ("m0-pcop,m3-pcop", "m0-pcop failed: normal needs a finite mu and a positive finite sigma"),

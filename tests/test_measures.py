@@ -450,6 +450,8 @@ class TestEcdfRectMemo:
 
 
 class TestKnnEuclMemo:
+    KIND = "m1"
+
     @pytest.mark.parametrize("case", ["random", "rounded", "duplicated"])
     def test_memo_bit_identical_to_blocked_pass(self, monkeypatch, case):
         rng = np.random.default_rng(29)
@@ -461,7 +463,7 @@ class TestKnnEuclMemo:
         }[case]
         samp = Sample2D(pts)
         ks = (1, 7, 79, 80)
-        fits = [M.fit_measure(M.MeasureSpec("m1", k=k), samp) for k in ks]
+        fits = [M.fit_measure(M.MeasureSpec(self.KIND, k=k), samp) for k in ks]
         memo = [f.score_vector(samp).scores for f in fits]
         assert samp._derived[("euclid",)].shape == (80, 80)
         # a copy of the points is not the sample's own array: blocked pass
@@ -473,25 +475,41 @@ class TestKnnEuclMemo:
         for k, a, b, c in zip(ks, memo, copied, blocked):
             assert np.array_equal(a, b), k
             assert np.array_equal(a, c), k
-            assert np.array_equal(a, knn_eucl_scores(pts, pts, k)), k
+            if self.KIND == "m1":
+                assert np.array_equal(a, knn_eucl_scores(pts, pts, k)), k
 
     def test_memo_not_stored_beyond_cap(self, monkeypatch):
         pts = np.random.default_rng(30).normal(size=(60, 2))
         monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60 - 1)
         samp = Sample2D(pts)
-        M.fit_measure(M.MeasureSpec("m1", k=5), samp).score_vector(samp)
+        M.fit_measure(M.MeasureSpec(self.KIND, k=5), samp).score_vector(samp)
         assert ("euclid",) not in samp._derived
         monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60)
-        M.fit_measure(M.MeasureSpec("m1", k=5), samp).score_vector(samp)
+        M.fit_measure(M.MeasureSpec(self.KIND, k=5), samp).score_vector(samp)
         assert samp._derived[("euclid",)].shape == (60, 60)
 
     def test_k_grid_builds_matrix_once_per_replicate(self, monkeypatch):
         calls = []
         euclid = M._euclid
         monkeypatch.setattr(M, "_euclid", lambda *a: calls.append(1) or euclid(*a))
-        _, rows = run_tune("S2", 50, "m1", [1, 5, 20, 50], reps=5, seed=42, ref_size=10 ** 5, workers=1)
+        _, rows = run_tune("S2", 50, self.KIND, [1, 5, 20, 50], reps=5, seed=42, ref_size=10 ** 5, workers=1)
         assert len(rows) == 4
         assert len(calls) == 5
+
+
+class TestKnnCdfMemo(TestKnnEuclMemo):
+    """m2 reads the in-sample Euclidean matrix m1 keeps."""
+
+    KIND = "m2"
+
+    def test_m1_and_m2_share_one_matrix(self, monkeypatch):
+        calls = []
+        euclid = M._euclid
+        monkeypatch.setattr(M, "_euclid", lambda *a: calls.append(1) or euclid(*a))
+        samp = Sample2D(np.random.default_rng(31).normal(size=(60, 2)))
+        for kind in ("m1", "m2", "m1", "m2"):
+            M.fit_measure(M.MeasureSpec(kind, k=5), samp).score_vector(samp)
+        assert len(calls) == 1
 
 
 class TestRowCounts:

@@ -4,9 +4,12 @@ wrapper left in place, fail here rather than in a traced benchmark run."""
 
 import importlib
 import importlib.util
+import os
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -51,3 +54,37 @@ def test_uninstall_leaves_no_wrapper(spans):
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
     assert measures.FittedMeasure.__dict__["score"] is score
+
+
+def test_spans_recorded_on_the_main_thread(spans, monkeypatch):
+    # the tracer keeps one span stack, so no worker thread may enter a span
+    from hdrkit import benchmark, core, measures
+
+    pts = np.random.default_rng(38).normal(size=(1100, 2))
+
+    def traced():
+        tracer = spans.Tracer()
+        threads = set()
+
+        class Spans(list):
+            def append(self, item):
+                threads.add(threading.get_ident())
+                super().append(item)
+
+        tracer.spans = Spans()
+        tracer.install()
+        try:
+            benchmark.apply_measures(pts, list(measures.MEASURE_KINDS))
+        finally:
+            tracer.uninstall()
+        return {k: v for k, v in tracer.metrics().items() if k.endswith(".calls")}, threads
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(core, "_pool", None)
+    assert core._threads(1100 * 1100) == 2
+    calls, threads = traced()
+    assert core._pool is not None
+    assert threads == {threading.get_ident()}
+    monkeypatch.setattr(core, "_THREAD_MIN", 1 << 62)
+    assert traced()[0] == calls
+    assert calls["measures.score.m3-npcop.calls"] == 1 and calls["copulas.npcop_rect_prob.calls"] == 1
