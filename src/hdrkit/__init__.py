@@ -52,8 +52,6 @@ from .measures import (
     fit_measure,
     heuristic_eps,
     heuristic_k,
-    m0_pcop_from_models,
-    m3_pcop_from_models,
 )
 from .hdr import HdrRegion, classify, density_quantile_hdr, estimate_hdr, measure_average
 from .scenarios import (

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import measures as meas
 from . import scenarios as scen
-from .core import Sample2D, _check_alpha
+from .core import Orientation, Sample2D, _check_alpha, threshold_index
 from .evaluation import METRIC_NAMES, MetricsRow, aggregate, confusion, metrics
 from .hdr import classify, estimate_hdr, measure_average
 
@@ -303,7 +303,10 @@ class ApplyResult:
 
 def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None) -> ApplyResult:
     """Fit each requested measure on the points, estimate its HDR, and form
-    the strict-majority consensus labels."""
+    the strict-majority consensus labels. A measure that puts every point
+    inside, although its threshold rank would leave some out, is logged as
+    a warning: its scores tie, as the eps kinds' do when their absolute box
+    rules do not suit the data's scale."""
     _check_distinct("measure", measure_tokens)  # a repeat would vote twice
     sample = Sample2D(points)
     # alpha and every spec, filled for this sample, are checked before any
@@ -320,6 +323,12 @@ def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None
         region = estimate_hdr(scores, alpha)
         labels[token] = classify(region, scores.scores)
         hps[token] = _fmt_hyper(fitted.hyperparams)
+        rank = threshold_index(sample.n, alpha, scores.orientation)
+        left_out = rank - 1 if scores.orientation is Orientation.CONCENTRATION else sample.n - rank
+        if left_out and labels[token].all():
+            log.warning("%s (%s) puts every point inside, although its threshold rank %d of %d would leave %d out: "
+                        "its scores tie; its hyperparameters may not suit the data's scale",
+                        token, hps[token], rank, sample.n, left_out)
     consensus = measure_average([labels[t] for t in measure_tokens])
     return ApplyResult(labels, consensus, hps)
 

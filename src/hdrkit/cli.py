@@ -33,6 +33,7 @@ from .benchmark import (
     write_summary_csv,
     write_tune_csv,
 )
+from .core import _cpus
 
 log = logging.getLogger("hdrkit")
 
@@ -49,7 +50,14 @@ def _parse_measures(text: str):
 
 
 def _parse_int_list(text: str):
-    return tuple(int(t) for t in text.split(",") if t.strip())
+    """``bench --n``: a comma list of whole numbers."""
+    sizes = []
+    for t in filter(str.strip, text.split(",")):
+        try:
+            sizes.append(int(t))
+        except ValueError:
+            raise ValueError(f"--n takes whole numbers, got {t.strip()!r}") from None
+    return tuple(sizes)
 
 
 def _parse_str_list(text: str):
@@ -81,15 +89,6 @@ def _parse_grid(text: str):
     return out
 
 
-def _default_workers() -> int:
-    env = os.environ.get("HDR_WORKERS", "").strip()
-    if not env:
-        return max(1, os.cpu_count() or 1)
-    if not env.isdecimal() or int(env) < 1:
-        raise ValueError(f"HDR_WORKERS must be a whole number >= 1, got {env!r}")
-    return int(env)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hdrkit", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -101,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--reps", type=int, default=300)
     b.add_argument("--out", required=True, help="per-replicate result CSV")
     b.add_argument("--summary", help="aggregated mean(sd) CSV")
-    b.add_argument("--workers", type=int, default=None, help="worker processes (default: HDR_WORKERS or CPU count)")
+    b.add_argument("--workers", type=int, default=_cpus(),
+                   help="worker processes (default: one per CPU this process may use)")
     b.add_argument("--ref-size", type=int, default=10 ** 6, help="truth-oracle reference sample size")
     b.add_argument("--k", type=int, default=None, help="override k for the kNN measures")
     b.add_argument("--eps", type=float, default=None, help="override eps for the box measures")
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--grid", required=True, help="'1:50', '1:50:2', or comma list like 0.01,0.02,0.05")
     t.add_argument("--reps", type=int, default=50)
     t.add_argument("--out", required=True)
-    t.add_argument("--workers", type=int, default=None)
+    t.add_argument("--workers", type=int, default=_cpus())
     t.add_argument("--ref-size", type=int, default=10 ** 6)
 
     a = sub.add_parser("apply", help="label an external CSV with per-measure and consensus HDRs")
@@ -151,7 +151,7 @@ def _cmd_bench(args) -> int:
         alpha=args.alpha,
         seed=args.seed,
         ref_size=args.ref_size,
-        workers=args.workers if args.workers is not None else _default_workers(),
+        workers=args.workers,
         k_override=args.k,
         eps_override=args.eps,
     )
@@ -170,7 +170,7 @@ def _cmd_tune(args) -> int:
     param, rows = run_tune(
         args.scenario.upper(), args.n, measure, grid, reps=args.reps, alpha=args.alpha,
         seed=args.seed, ref_size=args.ref_size,
-        workers=args.workers if args.workers is not None else _default_workers(),
+        workers=args.workers,
     )
     write_tune_csv(args.out, args.scenario.upper(), args.n, measure, param, rows, args.reps)
     log.info("wrote %d grid rows to %s", len(rows), args.out)

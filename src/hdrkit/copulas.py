@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import _each_row_block, _row_blocks, _thread_map, _threads
+from .core import _row_blocks, _row_map, _thread_map, _threads
 from .distributions import _norm_pdf, _t_cdf, _t_ppf, bvn_cdf, bvt_cdf
 
 __all__ = [
@@ -559,15 +559,11 @@ def npcop_pdf(fit: NpCopulaFit, u, v):
     t = special.ndtri(vf)
     z1 = fit.z[:, 0]
     z2 = fit.z[:, 1]
-    out = np.empty(uf.size)
 
-    def block(sl):
-        kern = np.exp(
-            -0.5 * (((s[sl, None] - z1) / fit.h1) ** 2 + ((t[sl, None] - z2) / fit.h2) ** 2)
-        )
-        out[sl] = kern.sum(axis=-1)
+    def rows(sl):
+        return np.exp(-0.5 * (((s[sl, None] - z1) / fit.h1) ** 2 + ((t[sl, None] - z2) / fit.h2) ** 2)).sum(axis=-1)
 
-    _each_row_block(uf.size, fit.n, block)
+    out = _row_map(np.empty(uf.size), fit.n, rows)
     out /= fit.n * 2.0 * np.pi * fit.h1 * fit.h2
     out /= _norm_pdf(s) * _norm_pdf(t)
     if scalar:
@@ -624,7 +620,8 @@ def npcop_rect_prob(fit: NpCopulaFit, u_lo, u_hi, v_lo, v_hi):
         tab_v /= fit.h2
         special.ndtr(tab_v, out=tab_v)
         sums = np.empty(m)
-        # a quarter of the rows a block may take: each thread's gathers stay small
+        # a quarter of the rows a block may take: each thread's gathers stay
+        # small. Not _row_map: this runs on a pool thread, so it would nest the pool
         for sl in _row_blocks(m, 4 * z.shape[0]):
             du = tab_u[iu_hi[sl]]
             du -= tab_u[iu_lo[sl]]

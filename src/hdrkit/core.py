@@ -73,7 +73,8 @@ class Sample2D:
         """``compute()``, evaluated once per ``key`` for this sample; for
         results that are a pure function of the points: the parametric fit
         that m0-pcop and m3-pcop share (key ``("parametric", families)``),
-        the ECDF and copula fit that m0-npcop and m3-npcop share
+        the marginal ECDF that m2, m0-npcop and m3-npcop share
+        (``("ecdf",)``), the copula fit that m0-npcop and m3-npcop share
         (``("npcop",)``), the in-sample distance matrices that every k of
         m1 and m2 (Euclidean, ``("euclid",)``) and every eps of m3-ecdf
         (Chebyshev, ``("chebyshev",)``) fitted to the sample share, each
@@ -136,8 +137,8 @@ def _row_blocks(m: int, width: int):
     row's result does not depend on where the blocks split.
 
     A kernel frees its temporaries after every block, whether it loops
-    over the blocks itself or hands ``_each_row_block`` a per-block
-    callback, and the next block takes them from the heap again. That
+    over the blocks itself or hands ``_row_map`` a function of a block's
+    rows, and the next block takes them from the heap again. That
     faults no pages in only because of the block freed at import above:
     m0-kde at n = 5000 took 0 minor faults per scoring call on one thread
     and 0.4 on two (``resource.getrusage`` over 5 calls after a first),
@@ -158,15 +159,21 @@ _THREAD_MIN = 1 << 20
 _pool = None  # (process id, most threads, executor), made on first use
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may use, so ``taskset`` limits it:
+    the threads of a large pass, and the default worker processes of
+    ``bench`` and ``tune``."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _threads(entries: int) -> int:
     """How many threads a pass over ``entries`` query-by-sample entries
-    runs on: one per CPU this process may use (so ``taskset`` limits it),
-    but one below ``_THREAD_MIN`` entries, and one inside a
-    ``multiprocessing`` worker, whose pool already takes a CPU per
-    process."""
+    runs on: one per CPU (``_cpus``), but one below ``_THREAD_MIN``
+    entries, and one inside a ``multiprocessing`` worker, whose pool
+    already takes a CPU per process."""
     if entries < _THREAD_MIN or multiprocessing.parent_process() is not None:
         return 1
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _cpus()
 
 
 def _thread_map(fn, items, threads: int):
@@ -186,14 +193,21 @@ def _thread_map(fn, items, threads: int):
     return _pool[2].map(fn, items)
 
 
-def _each_row_block(m: int, width: int, body) -> None:
-    """``body(sl)`` for every slice of ``_row_blocks(m, width)``. With k
-    ``_threads``, each thread takes every k-th block; ``body`` writes only
-    its own rows of the output, so no result depends on the split."""
-    blocks = list(_row_blocks(m, width))
-    k = min(_threads(m * width), len(blocks))
-    for _ in _thread_map(lambda t: [body(sl) for sl in blocks[t::k]], range(k), k):
+def _row_map(out: np.ndarray, width: int, rows) -> np.ndarray:
+    """``out``, with ``out[sl] = rows(sl)`` for every slice of
+    ``_row_blocks(len(out), width)``. With k ``_threads``, each thread
+    takes every k-th block; a block's rows depend only on its slice, so no
+    result depends on the split."""
+    blocks = list(_row_blocks(len(out), width))
+    k = min(_threads(len(out) * width), len(blocks))
+
+    def fill(t):
+        for sl in blocks[t::k]:
+            out[sl] = rows(sl)
+
+    for _ in _thread_map(fill, range(k), k):
         pass
+    return out
 
 
 def _row_counts(mask: np.ndarray) -> np.ndarray:

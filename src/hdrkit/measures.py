@@ -17,12 +17,13 @@ families. A measure is its score function: the row's fitter binds the
 kind's module-level scorer to what the fit produced, and ``fit_measure``
 wraps it in a ``FittedMeasure``. Fitting is single-threaded; scoring is
 pure, so one fitted measure can serve many workers.
-The query-by-sample passes walk ``core._row_blocks``, all but m2's through
-``core._each_row_block``, which puts a large pass on threads; the sample's
-marginal ECDF (``_MarginalEcdf``) serves m2, m0-npcop and m3-npcop.
-m0-npcop and m3-npcop share ``_fit_npcop`` and, fitted to one sample, one
-ECDF and copula fit (``Sample2D.derived(("npcop",), ...)``); m0-pcop and
-m3-pcop share ``_fit_pcop`` and its parametric fit likewise.
+The query-by-sample passes walk ``core._row_blocks``; all but m2's hand
+``core._row_map`` a function of a block's rows, and it puts a large pass
+on threads. The sample's marginal ECDF (``_MarginalEcdf``), built once per
+sample as ``Sample2D.derived(("ecdf",), ...)``, serves m2, m0-npcop and
+m3-npcop. m0-npcop and m3-npcop share ``_fit_npcop`` and, fitted to one
+sample, one copula fit (``("npcop",)``); m0-pcop and m3-pcop share
+``_fit_pcop`` and its parametric fit likewise.
 m1 and m2 score the sample's own points from its in-sample Euclidean
 distance matrix, and m3-ecdf from its Chebyshev one, memoised as
 ``Sample2D.derived(("euclid",), ...)`` and ``(("chebyshev",), ...)`` for
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import copulas, distributions as dists
-from .core import Orientation, Sample2D, ScoreVector, _each_row_block, _k_smallest, _row_blocks, _row_counts
+from .core import Orientation, Sample2D, ScoreVector, _k_smallest, _row_blocks, _row_counts, _row_map
 
 __all__ = [
     "MeasureSpec",
@@ -63,8 +64,6 @@ __all__ = [
     "build_spec",
     "fill_spec",
     "fit_measure",
-    "m0_pcop_from_models",
-    "m3_pcop_from_models",
 ]
 
 M0_KDE = "m0-kde"
@@ -205,13 +204,8 @@ class FittedMeasure:
 
 def _kde_scores(pts: np.ndarray, h: float, q: np.ndarray) -> np.ndarray:
     n = pts.shape[0]
-    out = np.empty(q.shape[0])
     inv2h2 = 1.0 / (2.0 * h * h)
-
-    def block(sl):
-        out[sl] = np.exp(-_sq_dist(q[sl], pts) * inv2h2).sum(axis=1)
-
-    _each_row_block(q.shape[0], n, block)
+    out = _row_map(np.empty(q.shape[0]), n, lambda sl: np.exp(-_sq_dist(q[sl], pts) * inv2h2).sum(axis=1))
     return out / (n * 2.0 * np.pi * h * h)
 
 
@@ -219,18 +213,15 @@ def _knn_eucl_scores(sample: Sample2D, k: int, q: np.ndarray) -> np.ndarray:
     pts = sample.points
     n = pts.shape[0]
     memo = _in_sample_matrix(sample, q, "euclid", _euclid)
-    out = np.empty(q.shape[0])
 
-    def block(sl):
+    def rows(sl):
         d = _euclid(q[sl], pts) if memo is None else memo[sl]
         if k >= n:
-            out[sl] = d.sum(axis=1)
-        else:
-            # the sum of the k smallest values is tie-invariant
-            out[sl] = np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
+            return d.sum(axis=1)
+        # the sum of the k smallest values is tie-invariant
+        return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
 
-    _each_row_block(q.shape[0], n, block)
-    return out
+    return _row_map(np.empty(q.shape[0]), n, rows)
 
 
 class _MarginalEcdf:
@@ -305,31 +296,19 @@ def _in_sample_matrix(sample: Sample2D, q: np.ndarray, key: str, dist):
     n = pts.shape[0]
     if q is not pts or n * n > _MEMO_MAX:
         return None
-
-    def build():
-        out = np.empty((n, n))
-
-        def block(sl):
-            out[sl] = dist(pts[sl], pts)
-
-        _each_row_block(n, n, block)
-        return out
-
-    return sample.derived((key,), build)
+    return sample.derived((key,), lambda: _row_map(np.empty((n, n)), n, lambda sl: dist(pts[sl], pts)))
 
 
 def _ecdf_rect_scores(sample: Sample2D, eps: float, q: np.ndarray) -> np.ndarray:
     pts = sample.points
     n = pts.shape[0]
     memo = _in_sample_matrix(sample, q, "chebyshev", _chebyshev)
-    counts = np.empty(q.shape[0])
 
-    def block(sl):
+    def rows(sl):
         d = _chebyshev(q[sl], pts) if memo is None else memo[sl]
-        counts[sl] = _row_counts(d <= eps)
+        return _row_counts(d <= eps)
 
-    _each_row_block(q.shape[0], n, block)
-    return counts / (n * 4.0 * eps * eps)
+    return _row_map(np.empty(q.shape[0]), n, rows) / (n * 4.0 * eps * eps)
 
 
 class _MarginalKde:
@@ -346,14 +325,12 @@ class _MarginalKde:
 
     def pdf(self, t: np.ndarray) -> np.ndarray:
         n = self.col.size
-        out = np.empty(t.size)
 
-        def block(sl):
+        def rows(sl):
             z = (t[sl, None] - self.col) / self.h
-            out[sl] = np.exp(-0.5 * z * z).sum(axis=1)
+            return np.exp(-0.5 * z * z).sum(axis=1)
 
-        _each_row_block(t.size, n, block)
-        return out / (n * self.h * math.sqrt(2.0 * math.pi))
+        return _row_map(np.empty(t.size), n, rows) / (n * self.h * math.sqrt(2.0 * math.pi))
 
 
 def _npcop_density_scores(ecdf: _MarginalEcdf, copfit, marg, q: np.ndarray) -> np.ndarray:
@@ -472,7 +449,7 @@ def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
 
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
     _check_span(sample)
-    ecdf = _MarginalEcdf(sample.points)
+    ecdf = sample.derived(("ecdf",), partial(_MarginalEcdf, sample.points))
     return partial(_knn_cdf_scores, sample, spec.k, ecdf, ecdf.counts(sample.points) / sample.n), {}, None
 
 
@@ -481,15 +458,15 @@ def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):
 
 
 def _fit_npcop(sample: Sample2D, spec: MeasureSpec):
-    """m0-npcop (no eps) or m3-npcop: one sample's ECDF and copula fit serve both."""
+    """m0-npcop (no eps) or m3-npcop: one sample's ECDF (m2's too) and copula fit serve both."""
     pts = sample.points
     marg = None
     if not spec.eps:
         _check_density_scale(sample)
         # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
         marg = (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1)))
-    ecdf, copfit = sample.derived(("npcop",), lambda: (_MarginalEcdf(pts),
-                                                       copulas.npcop_fit(copulas.pseudo_observations(pts))))
+    ecdf = sample.derived(("ecdf",), partial(_MarginalEcdf, pts))
+    copfit = sample.derived(("npcop",), lambda: copulas.npcop_fit(copulas.pseudo_observations(pts)))
     hp = {"h1": copfit.h1, "h2": copfit.h2}
     if spec.eps:
         return partial(_npcop_rect_scores, ecdf, copfit, spec.eps), hp, None
@@ -559,17 +536,3 @@ def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
         hp[kind.param] = getattr(spec, kind.param)
     return FittedMeasure(spec, scores, hp, family)
 
-
-def m0_pcop_from_models(copula_model, marginals) -> FittedMeasure:
-    """Density-product measure with exact (injected) models, no fitting."""
-    marginals = tuple(marginals)
-    spec = MeasureSpec(M0_PCOP, marginal_families=tuple(m.family for m in marginals))
-    return FittedMeasure(spec, partial(_pcop_density_scores, copula_model, marginals), {}, copula_model.family)
-
-
-def m3_pcop_from_models(copula_model, marginals, eps: float) -> FittedMeasure:
-    """Box-probability measure with exact (injected) models, no fitting."""
-    marginals = tuple(marginals)
-    spec = MeasureSpec(M3_PCOP_RECT, eps=eps, marginal_families=tuple(m.family for m in marginals))
-    return FittedMeasure(spec, partial(_pcop_rect_scores, copula_model, marginals, eps), {"eps": eps},
-                         copula_model.family)

@@ -2,11 +2,16 @@
 
 Each works directly over the whole sample, with no sorting, row blocking
 or shared kernel rows, so it shares no code path with the package's ECDF
-owner or pairwise kernels.
+owner or pairwise kernels. The last two build the parametric-copula
+measures from exact, injected models instead of fitted ones.
 """
+
+from functools import partial
 
 import numpy as np
 from scipy import special
+
+from hdrkit import measures as M
 
 
 def ecdf1(column, t):
@@ -106,3 +111,18 @@ def knn_eucl_scores(pts, queries, k):
     if k >= pts.shape[0]:
         return d.sum(axis=1)
     return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
+
+
+def m0_pcop_from_models(copula_model, marginals):
+    """Density-product measure with exact (injected) models, no fitting."""
+    marginals = tuple(marginals)
+    spec = M.MeasureSpec(M.M0_PCOP, marginal_families=tuple(m.family for m in marginals))
+    return M.FittedMeasure(spec, partial(M._pcop_density_scores, copula_model, marginals), {}, copula_model.family)
+
+
+def m3_pcop_from_models(copula_model, marginals, eps: float):
+    """Box-probability measure with exact (injected) models, no fitting."""
+    marginals = tuple(marginals)
+    spec = M.MeasureSpec(M.M3_PCOP_RECT, eps=eps, marginal_families=tuple(m.family for m in marginals))
+    return M.FittedMeasure(spec, partial(M._pcop_rect_scores, copula_model, marginals, eps), {"eps": eps},
+                           copula_model.family)

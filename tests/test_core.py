@@ -285,6 +285,18 @@ class TestThreadedPasses:
         for a, b in zip(serial, threaded):
             assert a.shape == b.shape and np.array_equal(a, b)
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_row_map_fills_a_2d_out(self, monkeypatch, threads):
+        # 9 rows in blocks of 2: 5 blocks, a multiple of neither thread count
+        monkeypatch.setattr(core, "_BLOCK_BUDGET", 6)
+        x = np.random.default_rng(38).normal(size=(9, 3))
+        ran = _force_threads(monkeypatch, threads)
+        out = np.empty((9, 3))
+        assert core._row_map(out, 3, lambda sl: np.cumsum(x[sl], axis=1)) is out
+        assert np.array_equal(out, np.cumsum(x, axis=1))
+        # so short a task may leave a pool thread idle: only the hand-off is certain
+        assert ran and threading.get_ident() not in ran
+
     def test_more_threads_than_cores_with_fast_switching(self, monkeypatch):
         # the threads share the output arrays: a lost or reordered update
         # would change some bits
@@ -293,7 +305,7 @@ class TestThreadedPasses:
         fits = [M.fit_measure(M.MeasureSpec(kind), samp) for kind in ("m0-kde", "m0-npcop", "m3-npcop")]
         serial = [f.score(pts) for f in fits]
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 500)
-        ran = _force_threads(monkeypatch, 4 * (os.cpu_count() or 1))
+        ran = _force_threads(monkeypatch, 4 * core._cpus())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -10,7 +10,7 @@ import hdrkit as hk
 from hdrkit import copulas as C, core, distributions as D, measures as M
 from hdrkit.benchmark import measure_spec_for, replicate_rng, run_tune
 from hdrkit.core import Orientation, Sample2D
-from oracles import ecdf1, kde_scores, knn_eucl_scores, rect_count
+from oracles import ecdf1, kde_scores, knn_eucl_scores, m0_pcop_from_models, m3_pcop_from_models, rect_count
 
 
 class TestHeuristics:
@@ -115,8 +115,8 @@ class TestSpecFilling:
         assert spec.marginal_families == ("beta11a", "normal_mixture")
         # the injected-model measures name their models' families
         marg = (D.normal(0.0, 1.0), D.student_t(5.0))
-        assert M.m0_pcop_from_models(C.gaussian(0.5), marg).spec.marginal_families == ("normal", "student_t")
-        assert M.m3_pcop_from_models(C.gaussian(0.5), marg, 0.1).spec.marginal_families == ("normal", "student_t")
+        assert m0_pcop_from_models(C.gaussian(0.5), marg).spec.marginal_families == ("normal", "student_t")
+        assert m3_pcop_from_models(C.gaussian(0.5), marg, 0.1).spec.marginal_families == ("normal", "student_t")
 
     def test_one_point_sample_rejected(self):
         samp = Sample2D([(0.5, 1.5)])
@@ -138,7 +138,7 @@ class TestSpecFilling:
             with pytest.raises(ValueError, match=message):
                 M.build_spec(kind, eps=eps, marginal_families=("normal", "normal"))
         with pytest.raises(ValueError, match=message):
-            M.m3_pcop_from_models(C.gaussian(0.5), (D.normal(0.0, 1.0), D.normal(0.0, 1.0)), eps)
+            m3_pcop_from_models(C.gaussian(0.5), (D.normal(0.0, 1.0), D.normal(0.0, 1.0)), eps)
         # the box area of these is a normal, finite float, and so are the scores
         for eps in (1e-154, 1e153):
             assert M.MeasureSpec("m3-ecdf", eps=eps).eps == eps
@@ -391,6 +391,18 @@ class TestSharedNpcopFit:
             assert a.hyperparams == b.hyperparams
             assert np.array_equal(a.score(pts), b.score(pts))
 
+    def test_one_marginal_ecdf_per_sample(self, monkeypatch):
+        built = []
+        ecdf = M._MarginalEcdf
+        monkeypatch.setattr(M, "_MarginalEcdf", lambda pts: built.append(1) or ecdf(pts))
+        samp = Sample2D(np.random.default_rng(25).normal(size=(60, 2)))
+        for kind, k in (("m2", 5), ("m3-npcop", None), ("m0-npcop", None), ("m2", 12)):
+            M.fit_measure(M.MeasureSpec(kind, k=k), samp).score_vector(samp)
+        assert len(built) == 1
+        # an m2 k grid sorts each replicate's sample once
+        run_tune("S2", 50, "m2", [1, 5, 20], reps=3, seed=42, ref_size=10 ** 5, workers=1)
+        assert len(built) == 4
+
 
 class TestEcdfRectMemo:
     EPS = (0.02, 0.1, 0.35, 1.5)
@@ -540,7 +552,7 @@ class TestRectScores:
 
         uniform = D.beta11a(1e-12)  # Beta(1, 1 + 1e-12), CDF x within 1e-12
         eps = 0.05
-        f = M.m3_pcop_from_models(C.independence(), (uniform, uniform), eps)
+        f = m3_pcop_from_models(C.independence(), (uniform, uniform), eps)
         rng = np.random.default_rng(8)
         queries = rng.uniform(0.2, 0.8, size=(50, 2))
         assert np.max(np.abs(f.score(queries) - 1.0)) < 1e-9
@@ -562,7 +574,7 @@ class TestRectScores:
 
     def test_pcop_rect_matches_density_at_mode(self):
         s2 = hk.scenario("S2")
-        f = M.m3_pcop_from_models(s2.copula, s2.marginals, eps=0.01)
+        f = m3_pcop_from_models(s2.copula, s2.marginals, eps=0.01)
         mode = np.array([[0.0, 1.0]])
         truth = hk.true_density(s2, mode)[0]
         assert abs(f.score(mode)[0] - truth) / truth < 0.02
@@ -576,13 +588,13 @@ class TestRectScores:
         truth = hk.true_density(s2, pts)
         prev = None
         for eps in (0.08, 0.04, 0.02, 0.01):
-            f = M.m3_pcop_from_models(s2.copula, s2.marginals, eps=eps)
+            f = m3_pcop_from_models(s2.copula, s2.marginals, eps=eps)
             err = np.abs(f.score(pts) - truth) / truth
             if prev is not None:
                 assert err.mean() < prev
             prev = err.mean()
-        f_02 = M.m3_pcop_from_models(s2.copula, s2.marginals, eps=0.02).score(pts)
-        f_01 = M.m3_pcop_from_models(s2.copula, s2.marginals, eps=0.01).score(pts)
+        f_02 = m3_pcop_from_models(s2.copula, s2.marginals, eps=0.02).score(pts)
+        f_01 = m3_pcop_from_models(s2.copula, s2.marginals, eps=0.01).score(pts)
         assert np.max(np.abs(f_02 / f_01 - 1.0)) < 0.01
 
 
@@ -590,7 +602,7 @@ class TestCopulaDensityScores:
     def test_pcop_density_equals_bivariate_normal(self):
         # Gaussian copula + normal marginals is the bivariate normal law
         s2 = hk.scenario("S2")
-        f = M.m0_pcop_from_models(s2.copula, s2.marginals)
+        f = m0_pcop_from_models(s2.copula, s2.marginals)
         rho = s2.copula.rho
         pts = np.array([[0.0, 1.0], [1.0, 0.0], [-2.0, 3.0]])
         z = (pts - np.array([0.0, 1.0])) / math.sqrt(2.0)
@@ -602,7 +614,7 @@ class TestCopulaDensityScores:
         from hdrkit import copulas as C
 
         marg = (D.normal(0.0, 1.0), D.normal(5.0, 2.0))
-        f = M.m0_pcop_from_models(C.independence(), marg)
+        f = m0_pcop_from_models(C.independence(), marg)
         pts = np.array([[0.3, 4.0], [-1.0, 7.0]])
         ref = D.marginal_pdf(marg[0], pts[:, 0]) * D.marginal_pdf(marg[1], pts[:, 1])
         assert_allclose(f.score(pts), ref, rtol=1e-12)
