@@ -64,6 +64,16 @@ def _parse_str_list(text: str):
     return tuple(t.strip() for t in text.split(",") if t.strip())
 
 
+def _grid_number(t: str, whole: bool):
+    """One ``--grid`` value as an int (a range's bounds and step) or a
+    float, naming the flag when it is not one."""
+    try:
+        return int(t) if whole else float(t)
+    except ValueError:
+        what = "whole numbers in a range" if whole else "numbers"
+        raise ValueError(f"--grid takes {what}, got {t.strip()!r}") from None
+
+
 def _parse_grid(text: str):
     """Grid syntax: 'a:b' or 'a:b:step' for integer ranges, else a comma list
     of numbers (ints or floats)."""
@@ -72,8 +82,8 @@ def _parse_grid(text: str):
         parts = text.split(":")
         if len(parts) not in (2, 3):
             raise ValueError(f"bad grid {text!r}")
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
+        lo, hi = _grid_number(parts[0], whole=True), _grid_number(parts[1], whole=True)
+        step = _grid_number(parts[2], whole=True) if len(parts) == 3 else 1
         if step < 1 or hi < lo:
             raise ValueError(f"bad grid {text!r}")
         return list(range(lo, hi + 1, step))
@@ -82,7 +92,7 @@ def _parse_grid(text: str):
         raise ValueError("empty grid")
     out = []
     for t in vals:
-        f = float(t)
+        f = _grid_number(t, whole=False)
         if not math.isfinite(f):
             raise ValueError(f"grid value {t.strip()!r} is not finite")
         out.append(int(f) if f == int(f) and "." not in t and "e" not in t.lower() else f)

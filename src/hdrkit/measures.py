@@ -27,7 +27,11 @@ sample, one copula fit (``("npcop",)``); m0-pcop and m3-pcop share
 m1 and m2 score the sample's own points from its in-sample Euclidean
 distance matrix, and m3-ecdf from its Chebyshev one, memoised as
 ``Sample2D.derived(("euclid",), ...)`` and ``(("chebyshev",), ...)`` for
-n <= 2000, so every k or eps fitted to one sample shares one.
+n <= 2000, so every k or eps fitted to one sample shares one. Past that,
+or for other queries, m2 finds each query's nearest points through the
+sample's cell grid (``_CellGrid``, ``("grid",)``), which returns the
+neighbours of a full distance row to the bit while computing a small
+share of its distances.
 """
 
 from __future__ import annotations
@@ -86,6 +90,8 @@ _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametri
 _MEMO_MAX = 4_000_000
 # smallest span area ptp_x * ptp_y the density kinds fit (see _check_density_scale)
 _DENSITY_AREA_MIN = 1e-303
+# sample points per cell of m2's neighbour grid, on average
+_GRID_FILL = 8
 
 
 @dataclass(frozen=True)
@@ -237,27 +243,131 @@ class _MarginalEcdf:
         return np.column_stack([np.searchsorted(self.sorted_cols[j], q[:, j], side="right") for j in range(2)])
 
 
-def _knn_cdf_scores(sample: Sample2D, k: int, ecdf: _MarginalEcdf, f_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # f_pts: the ECDF values of the sample points themselves. One thread: on
-    # two, its short blocks (6 rows at n = 5000) took longer, at 1.5 to 2
-    # times the CPU time
-    pts = sample.points
-    n = pts.shape[0]
+class _CellGrid:
+    """The sample's points sorted into a grid of equal cells over their
+    span, for exact k-nearest-neighbour searches (Bentley, Stanat &
+    Williams, *Inf. Proc. Letters* 6, 1977). About ``_GRID_FILL`` points
+    share a cell, and the cell counts per axis follow the ratio of the
+    spans, so cells are near square; a ratio, not an area, so nothing
+    underflows at tiny scales. A point's cell is where
+    ``np.searchsorted(edges, coordinate, side="right")`` puts it, so every
+    point of a cell lies on its side of each edge exactly."""
+
+    def __init__(self, pts: np.ndarray, span: tuple):
+        n = pts.shape[0]
+        cells = max(1, n // _GRID_FILL)
+        dx, dy = span
+        if dx > 0 and dy > 0:
+            gx = int(min(cells, max(1.0, math.sqrt(cells * dx / dy) + 0.5)))
+            shape = (gx, max(1, cells // gx))
+        else:  # one axis or both constant: cells along the other
+            shape = (cells if dx > 0 else 1, cells if dy > 0 else 1)
+        lo = pts.min(axis=0)
+        self.pts = pts
+        self.shape = shape
+        # each axis's cell edges, ascending, from -inf to inf: cell i spans edges[i] to edges[i + 1]
+        self.edges = [np.concatenate(([-np.inf], lo[j] + span[j] * (np.arange(1, g) / g), [np.inf]))
+                      for j, g in enumerate(shape)]
+        cell = self._cells(pts)
+        # sample indices by cell, ascending within a cell; cell c's are order[starts[c]:starts[c + 1]]
+        self.order = np.argsort(cell, kind="stable")
+        self.starts = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=shape[0] * shape[1]))))
+
+    def _cells(self, q: np.ndarray) -> np.ndarray:
+        """The cell of each (m, 2) point, row-major by y: ``cy * gx + cx``."""
+        cx, cy = (np.searchsorted(self.edges[j][1:-1], q[:, j], side="right") for j in range(2))
+        return cy * self.shape[0] + cx
+
+    def nearest(self, q: np.ndarray, k: int):
+        """Yields ``(rows, idx, dist)`` until every one of the (m, 2)
+        queries has been in ``rows`` once: ``idx`` holds each row's k
+        nearest sample indices, ordered by (distance, index), and ``dist``
+        their ``_euclid`` distances; that is, ``_k_smallest`` of the
+        query's full distance row, to the bit.
+
+        Each cell's queries search a growing ring of cells around it. A
+        query is settled when its k-th distance is strictly below its
+        distance to the edge of the searched block, computed with
+        ``_euclid``'s subtraction and square root: rounding is monotone, so
+        every point outside the block is at least that far, and none can
+        be nearer or tie. The candidates are sorted by sample index, so
+        ``_k_smallest``'s column tie-break is the index tie-break. The ring
+        grows until every query is settled or it covers the whole grid, and
+        a cell's queries take row blocks of ``core._row_blocks``, so no
+        intermediate outgrows its budget."""
+        gx, gy = self.shape
+        pts, order, starts, edges = self.pts, self.order, self.starts, self.edges
+        cell = self._cells(q)
+        by_cell = np.argsort(cell, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(cell, minlength=gx * gy))))
+        for c in np.flatnonzero(np.diff(bounds)):
+            cy, cx = divmod(int(c), gx)
+            todo = by_cell[bounds[c]:bounds[c + 1]]
+            r = 0
+            while todo.size:
+                x0, x1, y0, y1 = max(cx - r, 0), min(cx + r, gx - 1), max(cy - r, 0), min(cy + r, gy - 1)
+                # most queries settle within one ring; doubling past two keeps
+                # a k near n to a few rings rather than one per cell
+                r = r + 1 if r < 2 else 2 * r
+                whole = x0 == 0 and y0 == 0 and x1 == gx - 1 and y1 == gy - 1
+                cand = np.sort(np.concatenate([order[starts[y * gx + x0]:starts[y * gx + x1 + 1]]
+                                               for y in range(y0, y1 + 1)]))
+                if cand.size < k and not whole:
+                    continue
+                # each query's squared distance to the block's nearest edge
+                qt = q[todo]
+                edge = np.full(todo.size, np.inf)
+                with np.errstate(over="ignore"):  # an overflow to inf is still a bound
+                    for j, (a, b) in enumerate(((x0, x1), (y0, y1))):
+                        for e in (edges[j][a], edges[j][b + 1]):  # +-inf at the grid's ends
+                            t = qt[:, j] - e
+                            np.minimum(edge, t * t, out=edge)
+                edge = np.sqrt(edge)
+                cp = pts[cand]
+                left = []
+                for sl in _row_blocks(todo.size, cand.size):
+                    d = _euclid(qt[sl], cp)
+                    col = _k_smallest(d, k)
+                    dk = np.take_along_axis(d, col, axis=1)
+                    done = (dk[:, -1] < edge[sl]) | whole
+                    yield todo[sl][done], cand[col[done]], dk[done]
+                    left.append(todo[sl][~done])
+                todo = np.concatenate(left)
+
+
+def _nearest(sample: Sample2D, q: np.ndarray, k: int):
+    """Yields ``(rows, idx, dist)`` as ``_CellGrid.nearest`` does: each
+    query's k nearest sample points, ordered by (distance, index), from
+    the in-sample Euclidean matrix when ``_in_sample_matrix`` keeps one,
+    else from the sample's cell grid (``("grid",)``). The rows come a few
+    at a time, and the caller uses each group at once: keeping (m, k)
+    arrays and their (m, k - 1) temporaries for the whole of ``apply``'s
+    5,000 points raised its peak RSS by 4 MB."""
     memo = _in_sample_matrix(sample, q, "euclid", _euclid)
-    fq = ecdf.counts(q) / n
+    if memo is None:
+        yield from sample.derived(("grid",), lambda: _CellGrid(sample.points, _span(sample))).nearest(q, k)
+        return
+    for sl in _row_blocks(q.shape[0], 2 * q.shape[0]):
+        col = _k_smallest(memo[sl], k)
+        yield sl, col, np.take_along_axis(memo[sl], col, axis=1)
+
+
+def _knn_cdf_scores(sample: Sample2D, k: int, ecdf: _MarginalEcdf, f_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """m2 at the queries: over each query's k nearest sample points
+    (``_nearest``: the in-sample matrix or the cell grid) but the nearest,
+    the sum of the ratios of their ECDF distance to their Euclidean one.
+    ``f_pts`` holds the ECDF values of the sample points themselves."""
+    fq = f_pts if q is sample.points else ecdf.counts(q) / sample.n
     out = np.empty(q.shape[0])
-    for sl in _row_blocks(q.shape[0], 2 * n):
-        d = _euclid(q[sl], pts) if memo is None else memo[sl]
-        # exact ties resolve to the lower sample index
-        idx = _k_smallest(d, k)[:, 1:]
-        rows = np.arange(idx.shape[0])[:, None]
-        dist = d[rows, idx]
-        du = fq[sl][:, None, 0] - f_pts[idx, 0]
-        dv = fq[sl][:, None, 1] - f_pts[idx, 1]
+    for rows, idx, dist in _nearest(sample, q, k):
+        # each query's nearest (itself, for a sample point) is dropped
+        idx, dist = idx[:, 1:], dist[:, 1:]
+        du = fq[rows][:, None, 0] - f_pts[idx, 0]
+        dv = fq[rows][:, None, 1] - f_pts[idx, 1]
         dp = np.sqrt(du * du + dv * dv)
         with np.errstate(invalid="ignore", divide="ignore"):
             terms = np.where(dist > 0.0, dp / dist, 0.0)  # duplicate points contribute 0
-        out[sl] = terms.sum(axis=1)
+        out[rows] = terms.sum(axis=1)
     return out
 
 
@@ -450,7 +560,9 @@ def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
     _check_span(sample)
     ecdf = sample.derived(("ecdf",), partial(_MarginalEcdf, sample.points))
-    return partial(_knn_cdf_scores, sample, spec.k, ecdf, ecdf.counts(sample.points) / sample.n), {}, None
+    # the sample points' own ECDF values, kept beside the ECDF for every k fitted to the sample
+    f_pts = sample.derived(("ecdf", "points"), lambda: ecdf.counts(sample.points) / sample.n)
+    return partial(_knn_cdf_scores, sample, spec.k, ecdf, f_pts), {}, None
 
 
 def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):

@@ -2,7 +2,8 @@
 
 Each works directly over the whole sample, with no sorting, row blocking
 or shared kernel rows, so it shares no code path with the package's ECDF
-owner or pairwise kernels. The last two build the parametric-copula
+owner or pairwise kernels. ``t_copula_full_profile`` profiles every nu
+where the package searches. The last two build the parametric-copula
 measures from exact, injected models instead of fitted ones.
 """
 
@@ -11,7 +12,7 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from hdrkit import measures as M
+from hdrkit import copulas as C, measures as M
 
 
 def ecdf1(column, t):
@@ -111,6 +112,19 @@ def knn_eucl_scores(pts, queries, k):
     if k >= pts.shape[0]:
         return d.sum(axis=1)
     return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
+
+
+def t_copula_full_profile(pseudo):
+    """The Student-t copula fit over all of ``NU_GRID_COPULA``: each nu's
+    profile fit, the first nu of greatest log-likelihood kept. Returns
+    ``(rho, nu, loglik)``."""
+    profile = C._t_profile(pseudo.u[:, 0], pseudo.u[:, 1])
+    best = None
+    for i in range(len(C.NU_GRID_COPULA)):
+        fit = profile(i)
+        if best is None or fit[2] > best[2]:
+            best = fit
+    return best
 
 
 def m0_pcop_from_models(copula_model, marginals):

@@ -250,6 +250,17 @@ class TestTune:
         assert code == 2
         assert "error: grid value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid,message", [
+        ("0.1,x", "--grid takes numbers, got 'x'"),
+        ("1:y", "--grid takes whole numbers in a range, got 'y'"),
+    ])
+    def test_cli_non_numeric_grid_names_its_flag(self, tmp_path, capsys, grid, message):
+        code = main(["tune", "--scenario", "S2", "--n", "40", "--measure", "m1", "--grid", grid,
+                     "--reps", "2", "--ref-size", "100000", "--workers", "1", "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     def test_cli_k_must_be_whole(self, tmp_path, capsys):
         args = ["tune", "--scenario", "S2", "--n", "40", "--measure", "m1", "--reps", "3",
                 "--ref-size", "100000", "--workers", "1"]

@@ -8,7 +8,7 @@ from scipy import integrate, optimize, stats
 
 from hdrkit import copulas as C, core, distributions as D, measures as M
 from hdrkit.core import Sample2D
-from oracles import ecdf1, npcop_rect_prob as chunked_rect_prob, npcop_rect_prob_rows as rows_rect_prob
+from oracles import ecdf1, npcop_rect_prob as chunked_rect_prob, npcop_rect_prob_rows as rows_rect_prob, t_copula_full_profile
 
 RHO = math.sin(math.pi / 4.0)
 
@@ -402,6 +402,77 @@ class TestBoundedSearchOracle:
         monkeypatch.setattr(C, "copula_pdf", lambda c, u, v: np.full(u.shape, np.nan))
         with pytest.raises(RuntimeError, match="did not converge for gaussian: .*NaN"):
             C.fit_copula_mle(pseudo, "gaussian")
+
+
+def _pcop_pseudo(monkeypatch, sid, points):
+    """The pseudo-observations m0-pcop's t-copula fit sees on ``points``,
+    fitted with scenario ``sid``'s marginal families."""
+    from hdrkit import benchmark, scenarios
+
+    seen = []
+    fit = C.fit_copula_mle
+    monkeypatch.setattr(C, "fit_copula_mle", lambda pseudo, fam: fam == C.STUDENT_T and seen.append(pseudo)
+                        or fit(pseudo, fam))
+    M.fit_measure(benchmark.measure_spec_for(scenarios.scenario(sid), "m0-pcop"), Sample2D(points))
+    monkeypatch.setattr(C, "fit_copula_mle", fit)
+    (pseudo,) = seen
+    return pseudo
+
+
+class TestNuSearch:
+    """The t-copula fit searches the nu grid; the loop over all of it is the
+    oracle, as scipy is for ``_fminbound``."""
+
+    @pytest.mark.parametrize("sid,n,seed", [
+        *[(sid, 500, seed) for sid in ("S1", "S6", "S16", "S3") for seed in (1, 2)],
+        ("S6", 5000, 1),  # the points `apply` labels in the benchmark's apply-n5000
+    ])
+    def test_same_fit_as_the_full_profile_in_at_most_9_fits(self, monkeypatch, sid, n, seed):
+        from hdrkit import benchmark
+
+        pts = benchmark.simulate_scenario(sid, n, seed)[0].points
+        pseudo = _pcop_pseudo(monkeypatch, sid, (pts - pts.mean(axis=0)) / pts.std(axis=0))
+        calls = []
+        ppf = C._t_ppf
+        monkeypatch.setattr(C, "_t_ppf", lambda *a: calls.append(1) or ppf(*a))
+        model, ll = C.fit_copula_mle(pseudo, "student_t")
+        assert len(calls) <= 2 * 9  # two quantile columns per profile fit
+        monkeypatch.setattr(C, "_t_ppf", ppf)
+        assert (model.rho, model.nu, ll) == t_copula_full_profile(pseudo)
+
+    @staticmethod
+    def _sequences():
+        """Length-29 sequences that rise strictly to their first maximum and
+        never rise after it: every peak position, peak plateaus, falls in
+        steps, monotone runs, and a constant one."""
+        for p in range(29):
+            for width in (1, 2, 5):
+                for step in (1, 3):
+                    top = min(28, p + width - 1)
+                    yield [float(i - p) if i < p else 0.0 if i <= top else -float((i - top + step - 1) // step)
+                           for i in range(29)]
+        yield [float(i) for i in range(29)]
+        yield [-float(i) for i in range(29)]
+        yield [1.0] * 29
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            p = int(rng.integers(29))
+            rise = np.cumsum(rng.uniform(0.01, 1.0, p + 1))
+            fall = rise[-1] - np.cumsum(rng.choice([0.0, 0.5, 2.0], 28 - p))
+            yield [*rise.tolist(), *fall.tolist()]
+
+    def test_search_finds_the_first_maximum(self):
+        for values in self._sequences():
+            calls = []
+            got = C._first_max(lambda i: calls.append(i) or values[i], len(values))
+            assert got == values.index(max(values)), values
+            assert len(calls) == len(set(calls)) <= 7, values
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 13, 20])
+    def test_any_length(self, size):
+        for p in range(size):
+            values = [-abs(i - p) for i in range(size)]
+            assert C._first_max(values.__getitem__, size) == p
 
 
 class TestNpCopula:

@@ -352,6 +352,78 @@ class TestBlockedKernel:
         assert np.array_equal(whole[2], blocked[2])
 
 
+def _neighbours(sample, queries, k):
+    """``measures._nearest``'s groups put together: (m, k) indices and
+    distances, each query's row filled once."""
+    m = queries.shape[0]
+    idx = np.full((m, k), -1)
+    dist = np.full((m, k), np.nan)
+    filled = np.zeros(m, dtype=int)
+    for rows, i, d in M._nearest(sample, queries, k):
+        idx[rows], dist[rows] = i, d
+        filled[rows] += 1
+    assert np.all(filled == 1)
+    return idx, dist
+
+
+class TestCellGrid:
+    """m2's neighbours off the in-sample memo come from the sample's cell
+    grid, and must be those of ``_k_smallest`` over the full distance row."""
+
+    @staticmethod
+    def _points(case):
+        rng = np.random.default_rng(32)
+        pts = rng.normal(size=(300, 2))
+        if case == "constant-column":
+            pts[:, 1] = 2.5
+        elif case == "identical":
+            pts[:] = (0.3, -1.2)
+        elif case == "rounded":  # many exact distance ties, the k-th one too
+            pts = np.round(pts, 1)
+        elif case == "lattice":  # in shuffled order: some cell edges fall on the lattice, ties at the edge too
+            pts = rng.permutation(np.array([(x, y) for x in range(11) for y in range(11)], dtype=float))
+        elif case == "tiny":
+            pts *= 1e-160
+        elif case == "huge":  # as in apply's 1e200 scale test: the outlier's squared distances overflow
+            pts = np.vstack([pts[:200], [1e200, 1e200]])
+        return pts
+
+    @pytest.mark.parametrize("fill", [1, 8])
+    @pytest.mark.parametrize("case", ["random", "rounded", "lattice", "constant-column", "identical", "tiny", "huge"])
+    def test_same_neighbours_as_full_rows(self, monkeypatch, case, fill):
+        monkeypatch.setattr(M, "_GRID_FILL", fill)
+        pts = self._points(case)
+        n = pts.shape[0]
+        samp = Sample2D(pts)
+        rng = np.random.default_rng(33)
+        scale = np.abs(pts).max() if case == "tiny" else 1.0
+        queries = np.vstack([pts, scale * rng.normal(size=(40, 2)), scale * rng.normal(scale=50.0, size=(5, 2))])
+        with np.errstate(over="ignore"):  # the huge case's full rows overflow too
+            d = M._euclid(queries, pts)
+            for k in (1, 2, 4, 7, 30, n - 1, n):
+                idx, dist = _neighbours(samp, queries, k)
+                want = core._k_smallest(d, k)
+                assert np.array_equal(idx, want), k
+                assert np.array_equal(dist, np.take_along_axis(d, want, axis=1)), k
+
+    def test_empty_query(self):
+        samp = Sample2D(np.random.default_rng(34).normal(size=(50, 2)))
+        assert list(M._nearest(samp, np.empty((0, 2)), 5)) == []
+        assert M.fit_measure(M.MeasureSpec("m2", k=5), samp).score(np.empty((0, 2))).shape == (0,)
+
+    def test_scores_apply_input_from_a_tenth_of_the_distances(self, monkeypatch):
+        # the 5000 z-scored S6 points the benchmark's apply-n5000 labels
+        from hdrkit.benchmark import simulate_scenario
+
+        pts = simulate_scenario("S6", 5000, 1)[0].points
+        samp = Sample2D((pts - pts.mean(axis=0)) / pts.std(axis=0))
+        entries = []
+        euclid = M._euclid
+        monkeypatch.setattr(M, "_euclid", lambda q, p: entries.append(q.shape[0] * p.shape[0]) or euclid(q, p))
+        M.fit_measure(M.MeasureSpec("m2"), samp).score_vector(samp)
+        assert 0 < sum(entries) < 0.1 * 5000 ** 2
+
+
 class TestSharedParametricFit:
     def test_pcop_kinds_fit_once_per_sample(self, monkeypatch):
         calls = []
@@ -522,6 +594,18 @@ class TestKnnCdfMemo(TestKnnEuclMemo):
         for kind in ("m1", "m2", "m1", "m2"):
             M.fit_measure(M.MeasureSpec(kind, k=5), samp).score_vector(samp)
         assert len(calls) == 1
+
+    def test_k_grid_counts_the_sample_points_once(self, monkeypatch):
+        counted = []
+        counts = M._MarginalEcdf.counts
+        monkeypatch.setattr(M._MarginalEcdf, "counts", lambda self, q: counted.append(len(q)) or counts(self, q))
+        samp = Sample2D(np.random.default_rng(35).normal(size=(200, 2)))
+        for k in range(1, 11):
+            M.fit_measure(M.MeasureSpec("m2", k=k), samp).score_vector(samp)
+        assert counted == [200]
+        # other queries are counted where they are scored
+        M.fit_measure(M.MeasureSpec("m2", k=4), samp).score(samp.points[:30].copy())
+        assert counted == [200, 30]
 
 
 class TestRowCounts:
