@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .core import _row_blocks, _row_map, _thread_map, _threads
-from .distributions import _norm_pdf, _t_cdf, _t_ppf, bvn_cdf, bvt_cdf
+from .distributions import _norm_pdf, _t_cdf, _t_ppf, bvn_cdf, bvt_cdf, marginal_cdf, marginal_pdf
 
 __all__ = [
     "CopulaModel",
@@ -37,6 +37,7 @@ __all__ = [
     "tau_to_param",
     "copula_cdf",
     "copula_pdf",
+    "joint_pdf",
     "copula_sample",
     "fit_copula_mle",
     "select_copula_aic",
@@ -264,6 +265,15 @@ def copula_pdf(c: CopulaModel, u, v):
     else:
         raise ValueError(f"unknown family {c.family!r}")
     return float(out) if out.ndim == 0 else out
+
+
+def joint_pdf(c: CopulaModel, marginals, lo: float, hi: float, q: np.ndarray) -> np.ndarray:
+    """Joint density ``c(F1(x), F2(y)) f1(x) f2(y)`` of copula ``c`` and two
+    marginal models at (m, 2) points, each marginal CDF clipped to
+    ``[lo, hi]`` so the copula density is read strictly inside the square."""
+    u = np.clip(marginal_cdf(marginals[0], q[:, 0]), lo, hi)
+    v = np.clip(marginal_cdf(marginals[1], q[:, 1]), lo, hi)
+    return copula_pdf(c, u, v) * marginal_pdf(marginals[0], q[:, 0]) * marginal_pdf(marginals[1], q[:, 1])
 
 
 def _t_log_density(x, y, nu):

@@ -71,17 +71,8 @@ class Sample2D:
 
     def derived(self, key, compute):
         """``compute()``, evaluated once per ``key`` for this sample; for
-        results that are a pure function of the points: the parametric fit
-        that m0-pcop and m3-pcop share (key ``("parametric", families)``),
-        the marginal ECDF that m2, m0-npcop and m3-npcop share
-        (``("ecdf",)``) and its values at the sample points, which every k
-        of m2 shares (``("ecdf", "points")``), m2's cell grid
-        (``("grid",)``), the copula fit that m0-npcop and m3-npcop share
-        (``("npcop",)``), the in-sample distance matrices that every k of
-        m1 and m2 (Euclidean, ``("euclid",)``) and every eps of m3-ecdf
-        (Chebyshev, ``("chebyshev",)``) fitted to the sample share, each
-        kept only up to ``measures._MEMO_MAX`` entries (n <= 2000, 32 MB),
-        and the coordinate span the scale checks read (``("span",)``)."""
+        results that are a pure function of the points. The ``measures``
+        module docstring lists the keys."""
         if key not in self._derived:
             self._derived[key] = compute()
         return self._derived[key]

@@ -42,6 +42,7 @@ NORMAL = "normal"
 STUDENT_T = "student_t"
 NORMAL_MIXTURE = "normal_mixture"
 BETA11A = "beta11a"
+MARGINAL_FAMILIES = (NORMAL, STUDENT_T, NORMAL_MIXTURE, BETA11A)
 
 # profile-likelihood grid for t degrees of freedom (marginal fits)
 NU_GRID = np.arange(1.0, 30.0 + 0.25, 0.5)

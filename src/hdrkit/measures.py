@@ -12,26 +12,30 @@ Roster (CLI token, orientation):
 * ``m3-pcop``      eps-box probability from parametric margins + copula CDF (concentration)
 
 A kind is its ``_KINDS`` row: tuned hyperparameter, orientation, fewest
-points, fitter, published k or eps rule, and whether it takes marginal
-families. A measure is its score function: the row's fitter binds the
-kind's module-level scorer to what the fit produced, and ``fit_measure``
-wraps it in a ``FittedMeasure``. Fitting is single-threaded; scoring is
-pure, so one fitted measure can serve many workers.
-The query-by-sample passes walk ``core._row_blocks``; all but m2's hand
-``core._row_map`` a function of a block's rows, and it puts a large pass
-on threads. The sample's marginal ECDF (``_MarginalEcdf``), built once per
-sample as ``Sample2D.derived(("ecdf",), ...)``, serves m2, m0-npcop and
-m3-npcop. m0-npcop and m3-npcop share ``_fit_npcop`` and, fitted to one
-sample, one copula fit (``("npcop",)``); m0-pcop and m3-pcop share
-``_fit_pcop`` and its parametric fit likewise.
-m1 and m2 score the sample's own points from its in-sample Euclidean
-distance matrix, and m3-ecdf from its Chebyshev one, memoised as
-``Sample2D.derived(("euclid",), ...)`` and ``(("chebyshev",), ...)`` for
-n <= 2000, so every k or eps fitted to one sample shares one. Past that,
-or for other queries, m2 finds each query's nearest points through the
-sample's cell grid (``_CellGrid``, ``("grid",)``), which returns the
-neighbours of a full distance row to the bit while computing a small
-share of its distances.
+points, fitter, published k or eps rule, whether it takes marginal
+families, and the sample checks (``_check_span``, ``_check_density_scale``)
+that ``fit_measure`` runs before the fitter. A measure is its score
+function: the row's fitter binds the kind's module-level scorer to what
+the fit produced (m0-pcop's is ``copulas.joint_pdf``, also the scenarios'
+true density), and ``fit_measure`` wraps it in a ``FittedMeasure``.
+Fitting is single-threaded; scoring is pure, so one fitted measure can
+serve many workers. The query-by-sample passes walk ``core._row_blocks``;
+all but m2's hand ``core._row_map`` a function of a block's rows, and it
+puts a large pass on threads.
+
+What a fit derives from the sample's points alone is kept on the sample
+by ``Sample2D.derived(key, ...)``, so every measure and every k or eps
+fitted to one sample shares it. Its eight keys:
+
+* ``("ecdf",)``: the marginal ECDF (``_MarginalEcdf``) of m2, m0-npcop and m3-npcop
+* ``("ecdf", "points")``: its values at the sample points, which every k of m2 reads
+* ``("npcop",)``: the copula fit that m0-npcop and m3-npcop share (``_fit_npcop``)
+* ``("parametric", families)``: the marginal and copula fits of m0-pcop and m3-pcop (``_fit_pcop``)
+* ``("euclid",)``, ``("chebyshev",)``: the in-sample distance matrices from which m1 and m2
+  (Euclidean) and m3-ecdf (Chebyshev) score the sample's own points, for n <= 2000 (``_MEMO_MAX``)
+* ``("grid",)``: m2's cell grid (``_CellGrid``) for other queries and larger samples, which finds
+  the neighbours of a full distance row to the bit from a small share of its distances
+* ``("span",)``: the coordinates' span, which the sample checks read
 """
 
 from __future__ import annotations
@@ -82,8 +86,6 @@ M3_PCOP_RECT = "m3-pcop"
 UNBOUNDED = "unbounded"
 SIMPLEX = "simplex"
 
-_MARGINAL_FAMILIES = (dists.NORMAL, dists.STUDENT_T, dists.NORMAL_MIXTURE, dists.BETA11A)
-
 _CDF_CLIP = 1e-12  # guard before evaluating a copula density/CDF at a parametric-CDF coordinate
 # largest in-sample distance matrix m1 and m2 (Euclidean) or m3-ecdf (Chebyshev)
 # keeps, in entries: n <= 2000, 32 MB of float64 each
@@ -131,8 +133,9 @@ class MeasureSpec:
             if not _KINDS[self.kind].families:
                 raise ValueError(f"{self.kind} takes no marginal families")
             families = tuple(self.marginal_families)
-            if len(families) != 2 or not all(f in _MARGINAL_FAMILIES for f in families):
-                raise ValueError(f"{self.kind} takes two marginal families from {_MARGINAL_FAMILIES}, got {families}")
+            if len(families) != 2 or not all(f in dists.MARGINAL_FAMILIES for f in families):
+                raise ValueError(f"{self.kind} takes two marginal families from {dists.MARGINAL_FAMILIES}, "
+                                 f"got {families}")
             object.__setattr__(self, "marginal_families", families)
 
 
@@ -462,13 +465,6 @@ def _npcop_rect_scores(ecdf: _MarginalEcdf, copfit, eps: float, q: np.ndarray) -
     return prob / (4.0 * eps * eps)
 
 
-def _pcop_density_scores(copula, marginals, q: np.ndarray) -> np.ndarray:
-    u = np.clip(dists.marginal_cdf(marginals[0], q[:, 0]), _CDF_CLIP, 1.0 - _CDF_CLIP)
-    v = np.clip(dists.marginal_cdf(marginals[1], q[:, 1]), _CDF_CLIP, 1.0 - _CDF_CLIP)
-    c = copulas.copula_pdf(copula, u, v)
-    return c * dists.marginal_pdf(marginals[0], q[:, 0]) * dists.marginal_pdf(marginals[1], q[:, 1])
-
-
 def _pcop_rect_scores(copula, marginals, eps: float, q: np.ndarray) -> np.ndarray:
     m1, m2 = marginals
     u_lo = dists.marginal_cdf(m1, q[:, 0] - eps)
@@ -540,8 +536,6 @@ def _check_density_scale(sample: Sample2D) -> None:
 
 # fitters: (sample, filled spec) -> (score function, hyperparameters, copula family or None)
 def _fit_kde(sample: Sample2D, spec: MeasureSpec):
-    _check_span(sample)
-    _check_density_scale(sample)
     with np.errstate(over="ignore"):
         sbar = float(np.std(sample.points, axis=0, ddof=1).mean())
     if not 0 < sbar < math.inf:  # an infinite bandwidth would put every point inside
@@ -553,12 +547,10 @@ def _fit_kde(sample: Sample2D, spec: MeasureSpec):
 
 
 def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
-    _check_span(sample)
     return partial(_knn_eucl_scores, sample, spec.k), {}, None
 
 
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
-    _check_span(sample)
     ecdf = sample.derived(("ecdf",), partial(_MarginalEcdf, sample.points))
     # the sample points' own ECDF values, kept beside the ECDF for every k fitted to the sample
     f_pts = sample.derived(("ecdf", "points"), lambda: ecdf.counts(sample.points) / sample.n)
@@ -572,11 +564,8 @@ def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):
 def _fit_npcop(sample: Sample2D, spec: MeasureSpec):
     """m0-npcop (no eps) or m3-npcop: one sample's ECDF (m2's too) and copula fit serve both."""
     pts = sample.points
-    marg = None
-    if not spec.eps:
-        _check_density_scale(sample)
-        # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
-        marg = (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1)))
+    # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
+    marg = None if spec.eps else (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1)))
     ecdf = sample.derived(("ecdf",), partial(_MarginalEcdf, pts))
     copfit = sample.derived(("npcop",), lambda: copulas.npcop_fit(copulas.pseudo_observations(pts)))
     hp = {"h1": copfit.h1, "h2": copfit.h2}
@@ -588,8 +577,6 @@ def _fit_npcop(sample: Sample2D, spec: MeasureSpec):
 def _fit_pcop(sample: Sample2D, spec: MeasureSpec):
     """m0-pcop (no eps) or m3-pcop: one sample's marginal and copula fits serve both."""
     families = spec.marginal_families
-    if not spec.eps:
-        _check_density_scale(sample)
 
     def fit():
         marginals = tuple(dists.fit_marginal_mle(sample.column(j), families[j]).model for j in range(2))
@@ -599,7 +586,7 @@ def _fit_pcop(sample: Sample2D, spec: MeasureSpec):
 
     model, marginals = sample.derived(("parametric", families), fit)
     scores = (partial(_pcop_rect_scores, model, marginals, spec.eps) if spec.eps
-              else partial(_pcop_density_scores, model, marginals))
+              else partial(copulas.joint_pdf, model, marginals, _CDF_CLIP, 1.0 - _CDF_CLIP))
     return scores, model.params(), model.family
 
 
@@ -610,16 +597,17 @@ class _Kind(NamedTuple):
     fit: Callable  # its fitter, above
     default: Callable | None = None  # (n, support class) -> its published k or eps rule
     families: bool = False  # it fits the two parametric marginal families a spec names
+    checks: tuple = ()  # the sample checks fit_measure runs, in order, before the fitter
 
 
 _CONC, _SPARS = Orientation.CONCENTRATION, Orientation.SPARSITY
 # everything a kind is; the copula kinds fit marginal and copula models
 _KINDS = {
-    M0_KDE: _Kind(None, _CONC, 2, _fit_kde),
-    M0_NPCOP: _Kind(None, _CONC, 20, _fit_npcop),
-    M0_PCOP: _Kind(None, _CONC, 20, _fit_pcop, families=True),
-    M1_KNN_EUCL: _Kind("k", _SPARS, 2, _fit_knn_eucl, lambda n, support: heuristic_k(n)),
-    M2_KNN_CDF: _Kind("k", _CONC, 2, _fit_knn_cdf, lambda n, support: min(30, n)),
+    M0_KDE: _Kind(None, _CONC, 2, _fit_kde, checks=(_check_span, _check_density_scale)),
+    M0_NPCOP: _Kind(None, _CONC, 20, _fit_npcop, checks=(_check_density_scale,)),
+    M0_PCOP: _Kind(None, _CONC, 20, _fit_pcop, families=True, checks=(_check_density_scale,)),
+    M1_KNN_EUCL: _Kind("k", _SPARS, 2, _fit_knn_eucl, lambda n, support: heuristic_k(n), checks=(_check_span,)),
+    M2_KNN_CDF: _Kind("k", _CONC, 2, _fit_knn_cdf, lambda n, support: min(30, n), checks=(_check_span,)),
     M3_ECDF_RECT: _Kind("eps", _CONC, 2, _fit_ecdf_rect,
                         lambda n, support: 0.10 if support == SIMPLEX else math.exp(2.13 - 0.30 * math.log(n))),
     M3_NPCOP_RECT: _Kind("eps", _CONC, 20, _fit_npcop, lambda n, support: math.exp(
@@ -637,10 +625,12 @@ class FitError(RuntimeError):
 
 def fit_measure(spec: MeasureSpec, sample: Sample2D) -> FittedMeasure:
     """Fit one measure to a sample, its spec filled and checked by
-    ``fill_spec``, with its ``_KINDS`` row's fitter."""
+    ``fill_spec``, with its ``_KINDS`` row's sample checks and fitter."""
     spec = fill_spec(spec, sample.n)
     kind = _KINDS[spec.kind]
     try:
+        for check in kind.checks:
+            check(sample)
         scores, hp, family = kind.fit(sample, spec)
     except Exception as exc:
         raise FitError(f"fitting measure {spec.kind} failed: {exc}") from exc

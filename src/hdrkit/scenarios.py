@@ -11,7 +11,8 @@ and mixture means (0, 9) and (1, 8+5). S17 is Dirichlet(1, 1, 2) on the
 
 The truth oracle is Monte Carlo: the density threshold of the true
 100(1-alpha)% HDR is the alpha-quantile of the true density over a large
-fresh reference sample.
+fresh reference sample, the density-quantile rule the estimators use
+(``hdr.density_quantile_hdr``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import copulas, distributions as dists
-from .core import Orientation, Sample2D, _check_alpha, threshold_index
+from .core import Sample2D, _check_alpha
+from .hdr import density_quantile_hdr
 
 __all__ = [
     "Scenario",
@@ -113,8 +115,10 @@ _U_OPEN_HI = np.nextafter(1.0, 0.0)
 def true_density(s: Scenario, points) -> np.ndarray:
     """Closed-form joint density of the scenario at (m, 2) points.
 
-    S1-S16 use the copula factorization; S17 uses the Dirichlet density
-    a(a+1) (1 - x1 - x2)^(a-1) directly (zero off the simplex).
+    S1-S16 use the copula factorization ``copulas.joint_pdf``, which
+    m0-pcop scores with too, the marginal CDFs clipped to [5e-300, 1);
+    S17 uses the Dirichlet density a(a+1) (1 - x1 - x2)^(a-1) directly
+    (zero off the simplex).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if s.is_simplex:
@@ -125,10 +129,7 @@ def true_density(s: Scenario, points) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             val = a * (a + 1.0) * np.maximum(rem, 0.0) ** (a - 1.0)
         return np.where(inside, val, 0.0)
-    u = np.clip(dists.marginal_cdf(s.marginals[0], pts[:, 0]), 5e-300, _U_OPEN_HI)
-    v = np.clip(dists.marginal_cdf(s.marginals[1], pts[:, 1]), 5e-300, _U_OPEN_HI)
-    c = copulas.copula_pdf(s.copula, u, v)
-    return c * dists.marginal_pdf(s.marginals[0], pts[:, 0]) * dists.marginal_pdf(s.marginals[1], pts[:, 1])
+    return copulas.joint_pdf(s.copula, s.marginals, 5e-300, _U_OPEN_HI, pts)
 
 
 @dataclass(frozen=True)
@@ -147,9 +148,8 @@ def build_truth_oracle(s: Scenario, alpha: float, ref_size: int, rng: np.random.
         raise ValueError("ref_size must be at least 1e5")
     _check_alpha(alpha)
     ref = sample_scenario(s, ref_size, rng)
-    dens = np.sort(true_density(s, ref.points))
-    rank = threshold_index(ref_size, alpha, Orientation.CONCENTRATION)
-    return TruthOracle(s.id, float(alpha), float(dens[rank - 1]), ref_size)
+    f_alpha = density_quantile_hdr(true_density(s, ref.points), alpha).threshold
+    return TruthOracle(s.id, float(alpha), f_alpha, ref_size)
 
 
 def label_truth(oracle: TruthOracle, s: Scenario, points) -> np.ndarray:

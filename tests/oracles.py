@@ -131,7 +131,8 @@ def m0_pcop_from_models(copula_model, marginals):
     """Density-product measure with exact (injected) models, no fitting."""
     marginals = tuple(marginals)
     spec = M.MeasureSpec(M.M0_PCOP, marginal_families=tuple(m.family for m in marginals))
-    return M.FittedMeasure(spec, partial(M._pcop_density_scores, copula_model, marginals), {}, copula_model.family)
+    scores = partial(C.joint_pdf, copula_model, marginals, M._CDF_CLIP, 1.0 - M._CDF_CLIP)
+    return M.FittedMeasure(spec, scores, {}, copula_model.family)
 
 
 def m3_pcop_from_models(copula_model, marginals, eps: float):

@@ -14,7 +14,7 @@ import scipy
 
 import hdrkit as hk
 from hdrkit import measures
-from hdrkit.benchmark import measure_spec_for, replicate_rng
+from hdrkit.benchmark import measure_spec_for, oracle_rng, replicate_rng
 from hdrkit.cli import main
 
 RECORDED_VERSIONS = ("2.4.6", "1.17.1")
@@ -93,3 +93,15 @@ def test_scores_digest(kind):
     scores = measures.fit_measure(measure_spec_for(s6, kind), sample).score(q)
     assert scores.dtype == np.float64 and scores.shape == (85,)
     assert hashlib.sha256(scores.tobytes()).hexdigest() == SCORES[kind]
+
+
+# sha256 of the truth thresholds f_alpha (their reprs, comma-joined) of five
+# scenarios at ref size 1e5: a threshold that moves shows here even when it
+# flips no label in the CLI runs above
+F_ALPHAS = "c15ab50039521acbda5819a6fa20e2a1d0fbe02b527319346e823a4b3fe07488"
+
+
+def test_truth_thresholds_digest():
+    f_alphas = [hk.build_truth_oracle(hk.scenario(sid), 0.05, 10 ** 5, oracle_rng(42, sid)).f_alpha
+                for sid in ("S1", "S6", "S11", "S16", "S17")]
+    assert hashlib.sha256(",".join(map(repr, f_alphas)).encode()).hexdigest() == F_ALPHAS

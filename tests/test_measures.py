@@ -694,6 +694,17 @@ class TestCopulaDensityScores:
         ref = np.exp(-quad / 2.0) / (2 * math.pi * 2.0 * math.sqrt(1 - rho ** 2))
         assert_allclose(f.score(pts), ref, rtol=1e-9)
 
+    def test_fitted_pcop_is_its_models_with_their_clip(self):
+        # a fitted m0-pcop scores as m0_pcop_from_models of the models it
+        # fitted, at points whose marginal CDF passes 1e-12 or 1 - 1e-12 too
+        s2 = hk.scenario("S2")
+        sample = hk.sample_scenario(s2, 200, replicate_rng(9, "S2", 200, "pcop-clip", 0))
+        spec = measure_spec_for(s2, "m0-pcop")
+        f = M.fit_measure(spec, sample)
+        model, marginals = sample.derived(("parametric", spec.marginal_families), None)
+        far = np.array([[0.0, 1.0], [40.0, 1.0], [-40.0, 1.0]])
+        assert np.array_equal(f.score(far), m0_pcop_from_models(model, marginals).score(far))
+
     def test_independence_product_form(self):
         from hdrkit import copulas as C
 

@@ -9,6 +9,7 @@ import hdrkit as hk
 from hdrkit import distributions as D
 from hdrkit.benchmark import oracle_rng
 from hdrkit.scenarios import SCENARIO_IDS, build_truth_oracle, label_truth, sample_scenario, scenario, true_density
+from oracles import m0_pcop_from_models
 
 RHO = math.sin(math.pi / 4.0)
 
@@ -91,6 +92,20 @@ class TestTrueDensity:
 
     def test_s17_outside_simplex_zero(self):
         assert true_density(scenario("S17"), [(0.6, 0.6)])[0] == 0.0
+
+    @pytest.mark.parametrize("sid", SCENARIO_IDS[:16])
+    def test_is_m0_pcop_with_the_true_models(self, sid):
+        # the copula scenarios' density is m0-pcop scored with the true
+        # models, to the bit, wherever the marginal CDFs lie in [1e-12,
+        # 1 - 1e-12]; past that each keeps its own clip (5e-300 for the
+        # truth, 1e-12 for m0-pcop), so a far point tells them apart
+        s = scenario(sid)
+        measure = m0_pcop_from_models(s.copula, s.marginals)
+        pts = sample_scenario(s, 200, np.random.default_rng(9)).points
+        assert np.array_equal(true_density(s, pts), measure.score(pts))
+        far = np.array([[float(D.marginal_quantile(s.marginals[0], 1e-14)), pts[0, 1]]])
+        assert D.marginal_cdf(s.marginals[0], far[:, 0])[0] < 1e-12
+        assert true_density(s, far)[0] != measure.score(far)[0]
 
     @pytest.mark.parametrize("sid", SCENARIO_IDS)
     def test_density_normalization(self, sid):
