@@ -110,11 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--reps", type=int, default=300)
     b.add_argument("--out", required=True, help="per-replicate result CSV")
     b.add_argument("--summary", help="aggregated mean(sd) CSV")
-    b.add_argument("--workers", type=int, default=_cpus(),
-                   help="worker processes (default: one per CPU this process may use)")
-    b.add_argument("--ref-size", type=int, default=10 ** 6, help="truth-oracle reference sample size")
-    b.add_argument("--k", type=int, default=None, help="override k for the kNN measures")
-    b.add_argument("--eps", type=float, default=None, help="override eps for the box measures")
     b.add_argument("--timing", action="store_true",
                    help="add a wall_time_ms column (breaks byte-identical reruns)")
 
@@ -125,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--grid", required=True, help="'1:50', '1:50:2', or comma list like 0.01,0.02,0.05")
     t.add_argument("--reps", type=int, default=50)
     t.add_argument("--out", required=True)
-    t.add_argument("--workers", type=int, default=_cpus())
-    t.add_argument("--ref-size", type=int, default=10 ** 6)
 
     a = sub.add_parser("apply", help="label an external CSV with per-measure and consensus HDRs")
     a.add_argument("--input", required=True)
@@ -134,8 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--y", required=True, help="name of the y column")
     a.add_argument("--measures", required=True)
     a.add_argument("--scale", choices=("none", "zscore"), default="zscore")
-    a.add_argument("--k", type=int, default=None)
-    a.add_argument("--eps", type=float, default=None)
     a.add_argument("--out", required=True, help="labeled CSV")
     a.add_argument("--svg", help="optional scatter SVG colored by the consensus")
 
@@ -144,6 +135,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--out", required=True)
 
+    for p in (b, t):
+        p.add_argument("--workers", type=int, default=_cpus(),
+                       help="worker processes (default: one per CPU this process may use)")
+        p.add_argument("--ref-size", type=int, default=10 ** 6, help="truth-oracle reference sample size")
+    for p in (b, a):
+        p.add_argument("--k", type=int, default=None, help="override k for the kNN measures")
+        p.add_argument("--eps", type=float, default=None, help="override eps for the box measures")
     # apply is deterministic and draws nothing, so it takes no seed
     for p in (b, t, s):
         p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")

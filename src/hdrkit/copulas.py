@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from .core import _row_blocks, _row_map, _thread_map, _threads
-from .distributions import _norm_pdf, _t_cdf, _t_ppf, bvn_cdf, bvt_cdf, marginal_cdf, marginal_pdf
+from .distributions import _norm_pdf, _t_cdf, _t_ppf, beta11a, bvn_cdf, bvt_cdf, marginal_cdf, marginal_pdf
 
 __all__ = [
     "CopulaModel",
@@ -224,13 +224,19 @@ def copula_cdf(c: CopulaModel, u, v):
     return float(out) if out.ndim == 0 else out
 
 
-def copula_pdf(c: CopulaModel, u, v):
-    """Copula density c(u, v) at strictly interior points."""
+def _interior(u, v):
+    """``u`` and ``v`` as float arrays broadcast together, once both are
+    checked to lie strictly inside the unit square, a copula density's domain."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if not (np.all((0 < u) & (u < 1)) and np.all((0 < v) & (v < 1))):
         raise ValueError("copula density at boundary")
-    u, v = np.broadcast_arrays(u, v)
+    return np.broadcast_arrays(u, v)
+
+
+def copula_pdf(c: CopulaModel, u, v):
+    """Copula density c(u, v) at strictly interior points."""
+    u, v = _interior(u, v)
 
     if c.family == INDEPENDENCE:
         out = np.ones_like(u)
@@ -338,37 +344,30 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
 
     if c.family == INDEPENDENCE:
         u = rng.random((n, 2))
-        return PseudoObservations(_clip_open(u))
-
-    if c.family in (GAUSSIAN, STUDENT_T):
+    elif c.family in (GAUSSIAN, STUDENT_T):
         z = rng.standard_normal((n, 2))
         x = np.column_stack([z[:, 0], c.rho * z[:, 0] + np.sqrt(1.0 - c.rho ** 2) * z[:, 1]])
         if c.family == GAUSSIAN:
-            return PseudoObservations(_clip_open(special.ndtr(x)))
-        x /= np.sqrt(rng.chisquare(c.nu, n) / c.nu)[:, None]
-        return PseudoObservations(_clip_open(_t_cdf(x, c.nu)))
-
-    if c.family == FRANK:
+            u = special.ndtr(x)
+        else:
+            x /= np.sqrt(rng.chisquare(c.nu, n) / c.nu)[:, None]
+            u = _t_cdf(x, c.nu)
+    elif c.family in (FRANK, CLAYTON):
         th = c.theta
         u1 = rng.random(n)
         p = rng.random(n)
-        eu = np.exp(-th * u1)
-        ev = 1.0 + p * np.expm1(-th) / (eu * (1.0 - p) + p)
-        u2 = -np.log(ev) / th
-        return PseudoObservations(_clip_open(np.column_stack([u1, u2])))
-
-    if c.family == CLAYTON:
-        th = c.theta
-        u1 = rng.random(n)
-        p = rng.random(n)
-        u2 = ((p ** (-th / (th + 1.0)) - 1.0) * u1 ** -th + 1.0) ** (-1.0 / th)
-        return PseudoObservations(_clip_open(np.column_stack([u1, u2])))
-
-    if c.family == DIRICHLET11A:
-        u = 1.0 - (1.0 - _dirichlet_draws(c.a, n, rng)) ** (c.a + 1.0)
-        return PseudoObservations(_clip_open(u))
-
-    raise ValueError(f"cannot sample from {c.family!r}")
+        if c.family == FRANK:
+            eu = np.exp(-th * u1)
+            ev = 1.0 + p * np.expm1(-th) / (eu * (1.0 - p) + p)
+            u2 = -np.log(ev) / th
+        else:
+            u2 = ((p ** (-th / (th + 1.0)) - 1.0) * u1 ** -th + 1.0) ** (-1.0 / th)
+        u = np.column_stack([u1, u2])
+    elif c.family == DIRICHLET11A:
+        u = marginal_cdf(beta11a(c.a), _dirichlet_draws(c.a, n, rng))
+    else:
+        raise ValueError(f"cannot sample from {c.family!r}")
+    return PseudoObservations(_clip_open(u))
 
 
 def _dirichlet_draws(a: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -615,11 +614,7 @@ def npcop_fit(pseudo: PseudoObservations) -> NpCopulaFit:
 
 def npcop_pdf(fit: NpCopulaFit, u, v):
     """Transformation-KDE copula density at interior points (u, v)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (np.all((0 < u) & (u < 1)) and np.all((0 < v) & (v < 1))):
-        raise ValueError("copula density at boundary")
-    u, v = np.broadcast_arrays(u, v)
+    u, v = _interior(u, v)
     scalar = u.ndim == 0
     uf = np.atleast_1d(u).ravel()
     vf = np.atleast_1d(v).ravel()

@@ -21,13 +21,13 @@ true density), and ``fit_measure`` wraps it in a ``FittedMeasure``.
 Fitting is single-threaded; scoring is pure, so one fitted measure can
 serve many workers. The query-by-sample passes walk ``core._row_blocks``;
 all but m2's hand ``core._row_map`` a function of a block's rows, and it
-puts a large pass on threads.
+puts a large pass on threads; m1 and m3-ecdf share one, ``_scan``.
 
 What a fit derives from the sample's points alone is kept on the sample
 by ``Sample2D.derived(key, ...)``, so every measure and every k or eps
 fitted to one sample shares it. Its eight keys:
 
-* ``("ecdf",)``: the marginal ECDF (``_MarginalEcdf``) of m2, m0-npcop and m3-npcop
+* ``("ecdf",)``: the marginal ECDF (``_MarginalEcdf``, built by ``_ecdf``) of m2, m0-npcop and m3-npcop
 * ``("ecdf", "points")``: its values at the sample points, which every k of m2 reads
 * ``("npcop",)``: the copula fit that m0-npcop and m3-npcop share (``_fit_npcop``)
 * ``("parametric", families)``: the marginal and copula fits of m0-pcop and m3-pcop (``_fit_pcop``)
@@ -219,18 +219,13 @@ def _kde_scores(pts: np.ndarray, h: float, q: np.ndarray) -> np.ndarray:
 
 
 def _knn_eucl_scores(sample: Sample2D, k: int, q: np.ndarray) -> np.ndarray:
-    pts = sample.points
-    n = pts.shape[0]
-    memo = _in_sample_matrix(sample, q, "euclid", _euclid)
-
-    def rows(sl):
-        d = _euclid(q[sl], pts) if memo is None else memo[sl]
-        if k >= n:
+    def k_sum(d):
+        if k >= sample.n:
             return d.sum(axis=1)
         # the sum of the k smallest values is tie-invariant
         return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
 
-    return _row_map(np.empty(q.shape[0]), n, rows)
+    return _scan(sample, q, "euclid", _euclid, k_sum)
 
 
 class _MarginalEcdf:
@@ -412,48 +407,50 @@ def _in_sample_matrix(sample: Sample2D, q: np.ndarray, key: str, dist):
     return sample.derived((key,), lambda: _row_map(np.empty((n, n)), n, lambda sl: dist(pts[sl], pts)))
 
 
-def _ecdf_rect_scores(sample: Sample2D, eps: float, q: np.ndarray) -> np.ndarray:
+def _scan(sample: Sample2D, q: np.ndarray, key: str, dist, reduce) -> np.ndarray:
+    """``reduce`` of each query's ``dist`` row to the sample points, by
+    ``core._row_map``: from the in-sample matrix when ``_in_sample_matrix``
+    keeps one, else computed block by block."""
     pts = sample.points
-    n = pts.shape[0]
-    memo = _in_sample_matrix(sample, q, "chebyshev", _chebyshev)
+    memo = _in_sample_matrix(sample, q, key, dist)
+    return _row_map(np.empty(q.shape[0]), sample.n,
+                    lambda sl: reduce(dist(q[sl], pts) if memo is None else memo[sl]))
+
+
+def _ecdf_rect_scores(sample: Sample2D, eps: float, q: np.ndarray) -> np.ndarray:
+    counts = _scan(sample, q, "chebyshev", _chebyshev, lambda d: _row_counts(d <= eps))
+    return counts / (sample.n * 4.0 * eps * eps)
+
+
+def _marginal_h(col: np.ndarray) -> float:
+    """The normal-scale bandwidth of a univariate Gaussian KDE of ``col``."""
+    with np.errstate(over="ignore"):
+        sd = float(np.std(col, ddof=1))
+    if not 0 < sd < math.inf:  # an infinite bandwidth would put every point inside
+        raise ValueError("degenerate sample: zero variance" if sd <= 0
+                         else f"marginal standard deviation is {sd:g}")
+    return (4.0 / 3.0) ** 0.2 * sd * col.size ** (-0.2)
+
+
+def _kde1(col: np.ndarray, h: float, t: np.ndarray) -> np.ndarray:
+    """The univariate Gaussian KDE of ``col`` with bandwidth ``h`` at ``t``."""
+    n = col.size
 
     def rows(sl):
-        d = _chebyshev(q[sl], pts) if memo is None else memo[sl]
-        return _row_counts(d <= eps)
+        z = (t[sl, None] - col) / h
+        return np.exp(-0.5 * z * z).sum(axis=1)
 
-    return _row_map(np.empty(q.shape[0]), n, rows) / (n * 4.0 * eps * eps)
-
-
-class _MarginalKde:
-    """Univariate Gaussian KDE with the normal-scale bandwidth."""
-
-    def __init__(self, col: np.ndarray):
-        self.col = col
-        with np.errstate(over="ignore"):
-            sd = float(np.std(col, ddof=1))
-        if not 0 < sd < math.inf:  # an infinite bandwidth would put every point inside
-            raise ValueError("degenerate sample: zero variance" if sd <= 0
-                             else f"marginal standard deviation is {sd:g}")
-        self.h = (4.0 / 3.0) ** 0.2 * sd * col.size ** (-0.2)
-
-    def pdf(self, t: np.ndarray) -> np.ndarray:
-        n = self.col.size
-
-        def rows(sl):
-            z = (t[sl, None] - self.col) / self.h
-            return np.exp(-0.5 * z * z).sum(axis=1)
-
-        return _row_map(np.empty(t.size), n, rows) / (n * self.h * math.sqrt(2.0 * math.pi))
+    return _row_map(np.empty(t.size), n, rows) / (n * h * math.sqrt(2.0 * math.pi))
 
 
-def _npcop_density_scores(ecdf: _MarginalEcdf, copfit, marg, q: np.ndarray) -> np.ndarray:
+def _npcop_density_scores(ecdf: _MarginalEcdf, copfit, pts: np.ndarray, h: tuple, q: np.ndarray) -> np.ndarray:
     # pseudo-coordinates n/(n+1) * F_n, clamped to [1/(n+1), n/(n+1)] so
     # the normal quantile stays finite; sample points with distinct
     # coordinates land exactly on ranks/(n+1)
     n = ecdf.n
     u = np.clip(ecdf.counts(q) / (n + 1.0), 1.0 / (n + 1.0), n / (n + 1.0))
     c = copulas.npcop_pdf(copfit, u[:, 0], u[:, 1])
-    return c * marg[0].pdf(q[:, 0]) * marg[1].pdf(q[:, 1])
+    return c * _kde1(pts[:, 0], h[0], q[:, 0]) * _kde1(pts[:, 1], h[1], q[:, 1])
 
 
 def _npcop_rect_scores(ecdf: _MarginalEcdf, copfit, eps: float, q: np.ndarray) -> np.ndarray:
@@ -499,6 +496,11 @@ def fill_spec(spec: MeasureSpec, n: int) -> MeasureSpec:
     if kind.param == "k" and spec.k > n:
         raise ValueError(f"k={spec.k} exceeds sample size {n}")
     return spec
+
+
+def _ecdf(sample: Sample2D) -> _MarginalEcdf:
+    """The sample's marginal ECDF, kept per sample for every kind, k and eps that reads it."""
+    return sample.derived(("ecdf",), partial(_MarginalEcdf, sample.points))
 
 
 def _span(sample: Sample2D) -> tuple:
@@ -551,7 +553,7 @@ def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
 
 
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
-    ecdf = sample.derived(("ecdf",), partial(_MarginalEcdf, sample.points))
+    ecdf = _ecdf(sample)
     # the sample points' own ECDF values, kept beside the ECDF for every k fitted to the sample
     f_pts = sample.derived(("ecdf", "points"), lambda: ecdf.counts(sample.points) / sample.n)
     return partial(_knn_cdf_scores, sample, spec.k, ecdf, f_pts), {}, None
@@ -564,14 +566,14 @@ def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):
 def _fit_npcop(sample: Sample2D, spec: MeasureSpec):
     """m0-npcop (no eps) or m3-npcop: one sample's ECDF (m2's too) and copula fit serve both."""
     pts = sample.points
-    # m0-npcop's marginal KDEs come first, so a constant column fails with their zero-variance error
-    marg = None if spec.eps else (_MarginalKde(sample.column(0)), _MarginalKde(sample.column(1)))
-    ecdf = sample.derived(("ecdf",), partial(_MarginalEcdf, pts))
+    # m0-npcop's marginal bandwidths come first, so a constant column fails with their zero-variance error
+    hm = None if spec.eps else (_marginal_h(sample.column(0)), _marginal_h(sample.column(1)))
+    ecdf = _ecdf(sample)
     copfit = sample.derived(("npcop",), lambda: copulas.npcop_fit(copulas.pseudo_observations(pts)))
     hp = {"h1": copfit.h1, "h2": copfit.h2}
     if spec.eps:
         return partial(_npcop_rect_scores, ecdf, copfit, spec.eps), hp, None
-    return partial(_npcop_density_scores, ecdf, copfit, marg), dict(hp, hm1=marg[0].h, hm2=marg[1].h), None
+    return partial(_npcop_density_scores, ecdf, copfit, pts, hm), dict(hp, hm1=hm[0], hm2=hm[1]), None
 
 
 def _fit_pcop(sample: Sample2D, spec: MeasureSpec):
