@@ -87,11 +87,8 @@ def _parse_grid(text: str):
         if step < 1 or hi < lo:
             raise ValueError(f"bad grid {text!r}")
         return list(range(lo, hi + 1, step))
-    vals = [t for t in text.split(",") if t.strip()]
-    if not vals:
-        raise ValueError("empty grid")
     out = []
-    for t in vals:
+    for t in filter(str.strip, text.split(",")):
         f = _grid_number(t, whole=False)
         if not math.isfinite(f):
             raise ValueError(f"grid value {t.strip()!r} is not finite")

@@ -20,18 +20,18 @@ the fit produced (m0-pcop's is ``copulas.joint_pdf``, also the scenarios'
 true density), and ``fit_measure`` wraps it in a ``FittedMeasure``.
 Fitting is single-threaded; scoring is pure, so one fitted measure can
 serve many workers. The query-by-sample passes walk ``core._row_blocks``;
-all but m2's hand ``core._row_map`` a function of a block's rows, and it
-puts a large pass on threads; m1 and m3-ecdf share one, ``_scan``.
+all but m2's grid search hand ``core._row_map`` a function of a block's
+rows, and it puts a large pass on threads; m1, m2 and m3-ecdf share ``_scan``.
 
 What a fit derives from the sample's points alone is kept on the sample
 by ``Sample2D.derived(key, ...)``, so every measure and every k or eps
-fitted to one sample shares it. Its eight keys:
+fitted to one sample shares it. Its seven keys:
 
-* ``("ecdf",)``: the marginal ECDF (``_MarginalEcdf``, built by ``_ecdf``) of m2, m0-npcop and m3-npcop
-* ``("ecdf", "points")``: its values at the sample points, which every k of m2 reads
+* ``("ecdf",)``: the marginal ECDF (``_MarginalEcdf``, built by ``_ecdf``) of m2, m0-npcop and m3-npcop,
+  with its values at the sample points
 * ``("npcop",)``: the copula fit that m0-npcop and m3-npcop share (``_fit_npcop``)
 * ``("parametric", families)``: the marginal and copula fits of m0-pcop and m3-pcop (``_fit_pcop``)
-* ``("euclid",)``, ``("chebyshev",)``: the in-sample distance matrices from which m1 and m2
+* ``(_euclid,)``, ``(_chebyshev,)``: the in-sample distance matrices from which m1 and m2
   (Euclidean) and m3-ecdf (Chebyshev) score the sample's own points, for n <= 2000 (``_MEMO_MAX``)
 * ``("grid",)``: m2's cell grid (``_CellGrid``) for other queries and larger samples, which finds
   the neighbours of a full distance row to the bit from a small share of its distances
@@ -219,22 +219,24 @@ def _kde_scores(pts: np.ndarray, h: float, q: np.ndarray) -> np.ndarray:
 
 
 def _knn_eucl_scores(sample: Sample2D, k: int, q: np.ndarray) -> np.ndarray:
-    def k_sum(d):
+    def k_sum(sl, d):
         if k >= sample.n:
             return d.sum(axis=1)
         # the sum of the k smallest values is tie-invariant
         return np.partition(d, k - 1, axis=1)[:, :k].sum(axis=1)
 
-    return _scan(sample, q, "euclid", _euclid, k_sum)
+    return _scan(sample, q, _euclid, k_sum)
 
 
 class _MarginalEcdf:
     """The sample's marginal ECDFs, as counts: for each query coordinate,
-    how many sample entries of its column are <= it."""
+    how many sample entries of its column are <= it; ``at_points`` holds
+    the sample points' own ECDF values, which every k of m2 reads."""
 
     def __init__(self, pts: np.ndarray):
         self.sorted_cols = (np.sort(pts[:, 0]), np.sort(pts[:, 1]))
         self.n = pts.shape[0]
+        self.at_points = self.counts(pts) / self.n
 
     def counts(self, q: np.ndarray) -> np.ndarray:
         """(m, 2) integer counts at (m, 2) query points."""
@@ -333,39 +335,35 @@ class _CellGrid:
                 todo = np.concatenate(left)
 
 
-def _nearest(sample: Sample2D, q: np.ndarray, k: int):
-    """Yields ``(rows, idx, dist)`` as ``_CellGrid.nearest`` does: each
-    query's k nearest sample points, ordered by (distance, index), from
-    the in-sample Euclidean matrix when ``_in_sample_matrix`` keeps one,
-    else from the sample's cell grid (``("grid",)``). The rows come a few
-    at a time, and the caller uses each group at once: keeping (m, k)
-    arrays and their (m, k - 1) temporaries for the whole of ``apply``'s
-    5,000 points raised its peak RSS by 4 MB."""
-    memo = _in_sample_matrix(sample, q, "euclid", _euclid)
-    if memo is None:
-        yield from sample.derived(("grid",), lambda: _CellGrid(sample.points, _span(sample))).nearest(q, k)
-        return
-    for sl in _row_blocks(q.shape[0], 2 * q.shape[0]):
-        col = _k_smallest(memo[sl], k)
-        yield sl, col, np.take_along_axis(memo[sl], col, axis=1)
+def _knn_cdf_scores(sample: Sample2D, k: int, ecdf: _MarginalEcdf, q: np.ndarray) -> np.ndarray:
+    """m2 at the queries: over each query's k nearest sample points but the
+    nearest, the sum of the ratios of their ECDF distance to their
+    Euclidean one. The neighbours come from ``_scan`` of the in-sample
+    matrix when ``_in_sample_matrix`` keeps one, else from the cell grid a
+    few rows at a time, each used at once: keeping (m, k) arrays for all of
+    ``apply``'s 5,000 points raised its peak RSS by 4 MB."""
+    f_pts = ecdf.at_points
 
-
-def _knn_cdf_scores(sample: Sample2D, k: int, ecdf: _MarginalEcdf, f_pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """m2 at the queries: over each query's k nearest sample points
-    (``_nearest``: the in-sample matrix or the cell grid) but the nearest,
-    the sum of the ratios of their ECDF distance to their Euclidean one.
-    ``f_pts`` holds the ECDF values of the sample points themselves."""
-    fq = f_pts if q is sample.points else ecdf.counts(q) / sample.n
-    out = np.empty(q.shape[0])
-    for rows, idx, dist in _nearest(sample, q, k):
+    def ratio_sum(fq, idx, dist):
         # each query's nearest (itself, for a sample point) is dropped
         idx, dist = idx[:, 1:], dist[:, 1:]
-        du = fq[rows][:, None, 0] - f_pts[idx, 0]
-        dv = fq[rows][:, None, 1] - f_pts[idx, 1]
+        du = fq[:, None, 0] - f_pts[idx, 0]
+        dv = fq[:, None, 1] - f_pts[idx, 1]
         dp = np.sqrt(du * du + dv * dv)
         with np.errstate(invalid="ignore", divide="ignore"):
             terms = np.where(dist > 0.0, dp / dist, 0.0)  # duplicate points contribute 0
-        out[rows] = terms.sum(axis=1)
+        return terms.sum(axis=1)
+
+    def memo_rows(sl, d):
+        col = _k_smallest(d, k)
+        return ratio_sum(f_pts[sl], col, np.take_along_axis(d, col, axis=1))
+
+    if _in_sample_matrix(sample, q, _euclid) is not None:
+        return _scan(sample, q, _euclid, memo_rows)
+    fq = ecdf.counts(q) / sample.n
+    out = np.empty(q.shape[0])
+    for rows, idx, dist in sample.derived(("grid",), lambda: _CellGrid(sample.points, _span(sample))).nearest(q, k):
+        out[rows] = ratio_sum(fq[rows], idx, dist)
     return out
 
 
@@ -392,33 +390,33 @@ def _chebyshev(q: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(dx, out=dx), np.abs(dy, out=dy), out=dx)
 
 
-def _in_sample_matrix(sample: Sample2D, q: np.ndarray, key: str, dist):
+def _in_sample_matrix(sample: Sample2D, q: np.ndarray, dist):
     """``dist(pts, pts)`` when the queries are the sample's own points and
     it has at most ``_MEMO_MAX`` entries, else None. It is built once per
-    sample, kept as ``sample.derived((key,), ...)``, so every k or eps
-    fitted to the sample shares it (the C06 tuning curves fit 50 k and 31
-    eps to each), as do m1 and m2 for the Euclidean one. It is filled in
-    row blocks, so building it takes no n-by-n temporaries besides
-    itself."""
+    sample and kept under the distance function itself,
+    ``sample.derived((dist,), ...)``, so every k or eps fitted to the
+    sample shares it (the C06 tuning curves fit 50 k and 31 eps to each),
+    as do m1 and m2 for the Euclidean one. It is filled in row blocks, so
+    building it takes no n-by-n temporaries besides itself."""
     pts = sample.points
     n = pts.shape[0]
     if q is not pts or n * n > _MEMO_MAX:
         return None
-    return sample.derived((key,), lambda: _row_map(np.empty((n, n)), n, lambda sl: dist(pts[sl], pts)))
+    return sample.derived((dist,), lambda: _row_map(np.empty((n, n)), n, lambda sl: dist(pts[sl], pts)))
 
 
-def _scan(sample: Sample2D, q: np.ndarray, key: str, dist, reduce) -> np.ndarray:
-    """``reduce`` of each query's ``dist`` row to the sample points, by
-    ``core._row_map``: from the in-sample matrix when ``_in_sample_matrix``
-    keeps one, else computed block by block."""
+def _scan(sample: Sample2D, q: np.ndarray, dist, reduce) -> np.ndarray:
+    """``reduce(sl, rows)`` of each ``core._row_map`` slice of the queries
+    and their ``dist`` rows to the sample points: from the in-sample matrix
+    when ``_in_sample_matrix`` keeps one, else computed block by block."""
     pts = sample.points
-    memo = _in_sample_matrix(sample, q, key, dist)
+    memo = _in_sample_matrix(sample, q, dist)
     return _row_map(np.empty(q.shape[0]), sample.n,
-                    lambda sl: reduce(dist(q[sl], pts) if memo is None else memo[sl]))
+                    lambda sl: reduce(sl, dist(q[sl], pts) if memo is None else memo[sl]))
 
 
 def _ecdf_rect_scores(sample: Sample2D, eps: float, q: np.ndarray) -> np.ndarray:
-    counts = _scan(sample, q, "chebyshev", _chebyshev, lambda d: _row_counts(d <= eps))
+    counts = _scan(sample, q, _chebyshev, lambda sl, d: _row_counts(d <= eps))
     return counts / (sample.n * 4.0 * eps * eps)
 
 
@@ -553,10 +551,7 @@ def _fit_knn_eucl(sample: Sample2D, spec: MeasureSpec):
 
 
 def _fit_knn_cdf(sample: Sample2D, spec: MeasureSpec):
-    ecdf = _ecdf(sample)
-    # the sample points' own ECDF values, kept beside the ECDF for every k fitted to the sample
-    f_pts = sample.derived(("ecdf", "points"), lambda: ecdf.counts(sample.points) / sample.n)
-    return partial(_knn_cdf_scores, sample, spec.k, ecdf, f_pts), {}, None
+    return partial(_knn_cdf_scores, sample, spec.k, _ecdf(sample)), {}, None
 
 
 def _fit_ecdf_rect(sample: Sample2D, spec: MeasureSpec):

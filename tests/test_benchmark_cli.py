@@ -148,6 +148,12 @@ class TestBenchOutputs:
         with pytest.raises(ValueError, match="no measures given"):
             RunConfig(scenarios=("S2",), ns=(50,), measures=())
 
+    @pytest.mark.parametrize("setting, message", [({"reps": 0}, "reps must be >= 1"),
+                                                  ({"workers": 0}, "workers must be >= 1")])
+    def test_config_input_checks(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(scenarios=("S2",), ns=(50,), measures=("m1",), **setting)
+
     @pytest.mark.parametrize("args,message", [
         (["bench", "--scenarios", "S2,S17", "--n", "50", "--measures", "m3-ecdf", "--eps", "-1"],
          "eps must be positive"),
@@ -213,6 +219,20 @@ class TestTune:
     def test_empty_grid_errors(self):
         with pytest.raises(ValueError):
             run_tune("S2", 60, "m1", [], **FAST)
+
+    @pytest.mark.parametrize("scenario, grid, message", [
+        ("S2", "1:2:3:4", "bad grid '1:2:3:4'"),
+        ("S2", "5:1", "bad grid '5:1'"),
+        ("S2", ",", "empty grid"),
+        # run_tune checks its config before its grid
+        ("S99", ",", "unknown scenario 'S99'"),
+    ], ids=["four-parts", "descending", "empty", "bad-scenario-first"])
+    def test_cli_grid_usage_error(self, tmp_path, capsys, scenario, grid, message):
+        code = main(["tune", "--scenario", scenario, "--n", "40", "--measure", "m1", "--grid", grid,
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_untunable_measure_errors(self):
         with pytest.raises(ValueError):
@@ -352,6 +372,28 @@ def _assert_usage_error_before_any_fit(tmp_path, capsys, monkeypatch, n, message
 
 
 class TestApply:
+    @pytest.mark.parametrize("text, message", [("", "empty file"), ("a,b\n", "no usable rows")],
+                             ids=["empty", "header-only"])
+    def test_input_without_rows_usage_error(self, tmp_path, capsys, text, message):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        code = main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m1",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"error: {f}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_blank_line_skipped(self, tmp_path):
+        rows = [f"{x},{y}\n" for x, y in np.random.default_rng(10).normal(size=(30, 2)).tolist()]
+        outs = []
+        for name, body in (("plain", rows), ("blank", rows[:10] + ["\n", " , \n"] + rows[10:])):
+            f, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-labels.csv"
+            f.write_text("a,b\n" + "".join(body))
+            assert main(["apply", "--input", str(f), "--x", "a", "--y", "b", "--measures", "m1",
+                         "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     def test_round_trip_simulate_apply(self, tmp_path):
         draws = tmp_path / "draws.csv"
         labeled = tmp_path / "labeled.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -646,3 +647,64 @@ _NAN = np.array([0.3, np.nan])
 def test_nan_coordinate_raises(call):
     with pytest.raises(ValueError):
         call()
+
+
+_U10, _U30 = (C.pseudo_observations(np.random.default_rng(1).normal(size=(n, 2))) for n in (10, 30))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: C.gaussian(1.0), "|rho| must be < 1"),
+    (lambda: C.student_t_copula(1.0, 5.0), "|rho| must be < 1"),
+    (lambda: C.student_t_copula(0.5, 0.0), "nu must be positive"),
+    (lambda: C.frank(0.0), "Frank theta must be nonzero (theta -> 0 is independence)"),
+    (lambda: C.clayton(0.0), "Clayton theta must be positive"),
+    (lambda: C.dirichlet11a(0.0), "a must be positive"),
+    (lambda: C.kendall_tau(C.dirichlet11a(1.0)), "no closed-form tau for 'dirichlet11a'"),
+    (lambda: C.tau_to_param("gaussian", 1.0), "tau must be in (-1, 1)"),
+    (lambda: C.tau_to_param("frank", 0.0), "Frank tau = 0 is the independence limit"),
+    (lambda: C.tau_to_param("independence", 0.2), "independence requires tau = 0"),
+    (lambda: C.tau_to_param("dirichlet11a", 0.2), "cannot calibrate 'dirichlet11a' by tau"),
+    (lambda: C.copula_cdf(C.CopulaModel("bogus"), 0.5, 0.5), "unknown family 'bogus'"),
+    (lambda: C.copula_pdf(C.CopulaModel("bogus"), 0.5, 0.5), "unknown family 'bogus'"),
+    (lambda: C.copula_sample(C.CopulaModel("bogus"), 5, np.random.default_rng(0)), "cannot sample from 'bogus'"),
+    (lambda: C.PseudoObservations(np.full((3, 3), 0.5)), "pseudo-observations must be (n, 2)"),
+    (lambda: C.fit_copula_mle(_U10, "gaussian"), "need at least 20 pseudo-observations"),
+    (lambda: C.fit_copula_mle(_U30, "independence"), "family 'independence' is not fittable"),
+    (lambda: C.npcop_fit(_U10), "need at least 20 pseudo-observations"),
+], ids=["gaussian-rho", "t-rho", "t-nu", "frank-theta", "clayton-theta", "dirichlet-a", "tau-of-dirichlet",
+        "tau-one", "frank-tau-zero", "independence-tau", "dirichlet-by-tau", "cdf-family", "pdf-family",
+        "sample-family", "pseudo-shape", "mle-ten-points", "mle-independence", "npcop-ten-points"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_tau_calibration_without_a_parameter_to_solve():
+    assert C.kendall_tau(C.independence()) == 0.0
+    assert C.tau_to_param("independence", 0.0) == C.independence()
+    # tau does not identify the t copula's nu: it is set to 6
+    assert C.tau_to_param("student_t", 0.3) == C.student_t_copula(np.sin(np.pi * 0.3 / 2.0), 6.0)
+
+
+class TestSelectionSkipsFailedFits:
+    PSEUDO = C.pseudo_observations(np.random.default_rng(2).normal(size=(60, 2)))
+
+    def test_failed_family_left_out(self, monkeypatch):
+        fit = C.fit_copula_mle
+        want = {f: fit(self.PSEUDO, f) for f in C.FITTABLE_FAMILIES if f != "student_t"}
+
+        def fail_t(pseudo, family):
+            if family == "student_t":
+                raise RuntimeError("no fit")
+            return fit(pseudo, family)
+
+        monkeypatch.setattr(C, "fit_copula_mle", fail_t)
+        model, table = C.select_copula_aic(self.PSEUDO)
+        assert list(table) == list(want)
+        best = min(want, key=lambda f: 2.0 * want[f][0].n_params() - 2.0 * want[f][1])
+        assert model == want[best][0]
+
+    def test_all_failed_raises(self, monkeypatch):
+        monkeypatch.setattr(C, "fit_copula_mle", lambda pseudo, family: 1 / 0)
+        with pytest.raises(RuntimeError, match="all candidate copula fits failed"):
+            C.select_copula_aic(self.PSEUDO)

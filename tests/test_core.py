@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import threading
@@ -174,6 +175,20 @@ def test_score_vector_validation():
     assert sv.n == 2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Sample2D(np.zeros(3)), "expected (n, 2) points, got shape (3,)"),
+    (lambda: ScoreVector([], Orientation.CONCENTRATION), "scores must be a nonempty 1-D array"),
+    (lambda: threshold_index(0, 0.05, Orientation.CONCENTRATION), "n must be >= 1"),
+], ids=["three-values", "empty-scores", "no-points"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_two_values_are_one_point():
+    assert Sample2D([1.0, 2.0]).points.tolist() == [[1.0, 2.0]]
+
+
 _BLOCK_FAULTS = """
 import resource
 import numpy as np
@@ -302,16 +317,20 @@ class TestThreadedPasses:
         # would change some bits
         pts = _kernel_points("random", n=300)
         samp = Sample2D(pts)
-        fits = [M.fit_measure(M.MeasureSpec(kind), samp) for kind in ("m0-kde", "m0-npcop", "m3-npcop")]
-        serial = [f.score(pts) for f in fits]
+        kinds = ("m0-kde", "m0-npcop", "m3-npcop", "m1", "m2", "m3-ecdf")
+        fits = [M.fit_measure(M.MeasureSpec(kind), samp) for kind in kinds]
+        # a copy of the points, and the sample's own array, whose rows m1,
+        # m2 and m3-ecdf read from the in-sample memo through measures._scan
+        serial = [(f.score(pts), f.score(samp.points)) for f in fits]
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 500)
         ran = _force_threads(monkeypatch, 4 * core._cpus())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                for kind, a, f in zip(("m0-kde", "m0-npcop", "m3-npcop"), serial, fits):
+                for kind, (a, b), f in zip(kinds, serial, fits):
                     assert np.array_equal(a, f.score(pts)), kind
+                    assert np.array_equal(b, f.score(samp.points)), kind
         finally:
             sys.setswitchinterval(interval)
         assert len(ran) > 1

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -355,3 +356,35 @@ class TestScipyStatsOracle:
         assert np.array_equal(D.marginal_pdf(D.normal(mu, sigma), self.X), stats.norm.pdf(self.X, mu, sigma))
         assert np.array_equal(D._norm_pdf(self.X, mu, sigma), stats.norm.pdf(self.X, mu, sigma))
         assert np.array_equal(D._norm_logpdf(self.X, mu, sigma), stats.norm.logpdf(self.X, mu, sigma))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: D.student_t(0), "nu must be positive"),
+    (lambda: D.normal_mixture(1.5, 0.0, 1.0, 1.0), "w must be in (0, 1)"),
+    (lambda: D.beta11a(0), "a must be positive"),
+    (lambda: D.marginal_pdf(D.MarginalModel("bogus"), 0.5), "unknown family 'bogus'"),
+    (lambda: D.marginal_cdf(D.MarginalModel("bogus"), 0.5), "unknown family 'bogus'"),
+    (lambda: D.marginal_quantile(D.MarginalModel("bogus"), 0.5), "unknown family 'bogus'"),
+    (lambda: D.fit_marginal_mle(np.arange(20.0), "bogus"), "unknown family 'bogus'"),
+    (lambda: D.fit_marginal_mle(np.arange(5.0), "normal"), "need at least 10 observations"),
+    (lambda: D.fit_marginal_mle(np.r_[np.arange(19.0), np.nan], "normal"), "sample contains non-finite values"),
+    (lambda: D.fit_marginal_mle(np.linspace(-0.1, 0.9, 20), "beta11a"), "beta11a sample must lie in [0, 1]"),
+    # log(1 - 0.7) = -1.2: the closed-form a = -n / sum log(1 - x) - 1 is below 0
+    (lambda: D.fit_marginal_mle(np.r_[np.full(19, 0.7), 0.71], "beta11a"), "beta11a MLE outside the parameter domain"),
+    (lambda: D.bvn_cdf(1.0, 0.0, 0.0), "|rho| must be < 1"),
+    (lambda: D.bvt_cdf(1.0, 3, 0.0, 0.0), "|rho| must be < 1"),
+], ids=["t-nu", "mixture-w", "beta-a", "pdf-family", "cdf-family", "quantile-family", "mle-family",
+        "mle-five-points", "mle-nan", "mle-beta-outside", "mle-beta-negative-a", "bvn-rho-one", "bvt-rho-one"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_mixture_fit_nudges_equal_quantile_starts(monkeypatch):
+    # 60% of the values tied at 0: the quartile start (q25, q75) is (0, 0)
+    x = np.r_[np.linspace(-2.0, -1.0, 20), np.zeros(60), np.linspace(1.0, 2.0, 20)]
+    starts = []
+    em = D._em_mixture
+    monkeypatch.setattr(D, "_em_mixture", lambda x, mu1, mu2: starts.append((mu1, mu2)) or em(x, mu1, mu2))
+    assert D.fit_marginal_mle(x, "normal_mixture").model.family == D.NORMAL_MIXTURE
+    assert starts[0] == (0.0, max(1e-3, np.std(x) / 10.0))

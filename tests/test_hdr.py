@@ -113,3 +113,7 @@ class TestMeasureAverage:
     def test_length_mismatch_errors(self):
         with pytest.raises(ValueError):
             measure_average([np.array([True]), np.array([True, False])])
+
+    def test_no_label_vector_errors(self):
+        with pytest.raises(ValueError, match="need at least one label vector"):
+            measure_average([])

@@ -1,4 +1,5 @@
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -51,6 +52,16 @@ class TestHeuristics:
     def test_eps_rejects_other_kinds(self):
         with pytest.raises(ValueError):
             M.heuristic_eps("m1", 100)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: M.MeasureSpec("m1", support_class="x"), "unknown support class 'x'"),
+        (lambda: M.MeasureSpec("m1", k=0), "k must be >= 1"),
+        (lambda: M.heuristic_k(1), "n must be >= 2"),
+        (lambda: M.heuristic_eps("m3-ecdf", 1), "n must be >= 2"),
+    ], ids=["support-class", "k-zero", "k-rule-one-point", "eps-rule-one-point"])
+    def test_input_checks(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestSpecFilling:
@@ -353,13 +364,13 @@ class TestBlockedKernel:
 
 
 def _neighbours(sample, queries, k):
-    """``measures._nearest``'s groups put together: (m, k) indices and
-    distances, each query's row filled once."""
+    """The groups of the sample's ``measures._CellGrid.nearest`` put
+    together: (m, k) indices and distances, each query's row filled once."""
     m = queries.shape[0]
     idx = np.full((m, k), -1)
     dist = np.full((m, k), np.nan)
     filled = np.zeros(m, dtype=int)
-    for rows, i, d in M._nearest(sample, queries, k):
+    for rows, i, d in M._CellGrid(sample.points, M._span(sample)).nearest(queries, k):
         idx[rows], dist[rows] = i, d
         filled[rows] += 1
     assert np.all(filled == 1)
@@ -408,7 +419,7 @@ class TestCellGrid:
 
     def test_empty_query(self):
         samp = Sample2D(np.random.default_rng(34).normal(size=(50, 2)))
-        assert list(M._nearest(samp, np.empty((0, 2)), 5)) == []
+        assert list(M._CellGrid(samp.points, M._span(samp)).nearest(np.empty((0, 2)), 5)) == []
         assert M.fit_measure(M.MeasureSpec("m2", k=5), samp).score(np.empty((0, 2))).shape == (0,)
 
     def test_scores_apply_input_from_a_tenth_of_the_distances(self, monkeypatch):
@@ -491,7 +502,7 @@ class TestEcdfRectMemo:
         samp = Sample2D(pts)
         fits = [M.fit_measure(M.MeasureSpec("m3-ecdf", eps=eps), samp) for eps in self.EPS]
         memo = [f.score_vector(samp).scores for f in fits]
-        assert ("chebyshev",) in samp._derived
+        assert (M._chebyshev,) in samp._derived
         # a copy of the points is not the sample's own array: blocked pass
         copied = [f.score(samp.points.copy()) for f in fits]
         # the sample's own points, but too many to memoise: blocked pass in blocks of 6 rows
@@ -509,11 +520,11 @@ class TestEcdfRectMemo:
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 10 ** 9)
         samp = Sample2D(pts)
         M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
-        assert ("chebyshev",) not in samp._derived
+        assert (M._chebyshev,) not in samp._derived
         monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60)
         monkeypatch.setattr(core, "_BLOCK_BUDGET", 1)
         M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
-        assert samp._derived[("chebyshev",)].shape == (60, 60)
+        assert samp._derived[(M._chebyshev,)].shape == (60, 60)
 
     def test_memo_stored_at_n500_with_default_budget(self):
         # tune-c06 scores its eps grid on n = 500 samples; 500^2 entries
@@ -521,7 +532,7 @@ class TestEcdfRectMemo:
         samp = Sample2D(np.random.default_rng(28).normal(size=(500, 2)))
         assert 500 * 500 > core._BLOCK_BUDGET
         M.fit_measure(M.MeasureSpec("m3-ecdf", eps=0.3), samp).score_vector(samp)
-        assert samp._derived[("chebyshev",)].shape == (500, 500)
+        assert samp._derived[(M._chebyshev,)].shape == (500, 500)
 
     def test_eps_grid_builds_matrix_once_per_replicate(self, monkeypatch):
         calls = []
@@ -549,7 +560,7 @@ class TestKnnEuclMemo:
         ks = (1, 7, 79, 80)
         fits = [M.fit_measure(M.MeasureSpec(self.KIND, k=k), samp) for k in ks]
         memo = [f.score_vector(samp).scores for f in fits]
-        assert samp._derived[("euclid",)].shape == (80, 80)
+        assert samp._derived[(M._euclid,)].shape == (80, 80)
         # a copy of the points is not the sample's own array: blocked pass
         copied = [f.score(samp.points.copy()) for f in fits]
         # the sample's own points, but too many to memoise: blocked pass in blocks of 6 rows
@@ -567,10 +578,10 @@ class TestKnnEuclMemo:
         monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60 - 1)
         samp = Sample2D(pts)
         M.fit_measure(M.MeasureSpec(self.KIND, k=5), samp).score_vector(samp)
-        assert ("euclid",) not in samp._derived
+        assert (M._euclid,) not in samp._derived
         monkeypatch.setattr(M, "_MEMO_MAX", 60 * 60)
         M.fit_measure(M.MeasureSpec(self.KIND, k=5), samp).score_vector(samp)
-        assert samp._derived[("euclid",)].shape == (60, 60)
+        assert samp._derived[(M._euclid,)].shape == (60, 60)
 
     def test_k_grid_builds_matrix_once_per_replicate(self, monkeypatch):
         calls = []
@@ -618,7 +629,7 @@ class TestRowCounts:
         f = M.fit_measure(M.MeasureSpec("m3-ecdf", eps=2.0), samp)
         expect = np.full(n, n / (n * 4.0 * 2.0 * 2.0))
         assert np.array_equal(f.score_vector(samp).scores, expect)
-        assert ("chebyshev",) in samp._derived
+        assert (M._chebyshev,) in samp._derived
         assert np.array_equal(f.score(pts.copy()), expect)
 
     def test_rows_wider_than_uint16_do_not_wrap(self):

@@ -50,6 +50,10 @@ class TestGridStructure:
 
 
 class TestSampling:
+    def test_no_points_errors(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_scenario(scenario("S1"), 0, np.random.default_rng(0))
+
     def test_s2_moments(self):
         s = scenario("S2")
         pts = sample_scenario(s, 10 ** 5, np.random.default_rng(0)).points
