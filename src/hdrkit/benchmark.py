@@ -45,7 +45,7 @@ __all__ = [
 
 log = logging.getLogger("hdrkit")
 
-_DEFAULT_REF_SIZE = 10 ** 6
+_TUNE_REPS = 50  # replicates per grid value of a tuning curve
 
 
 def _stable_key(text: str) -> int:
@@ -76,7 +76,7 @@ class RunConfig:
     reps: int = 300
     alpha: float = 0.05
     seed: int = 42
-    ref_size: int = _DEFAULT_REF_SIZE
+    ref_size: int = 10 ** 6
     workers: int = 1
     k_override: int | None = None
     eps_override: float | None = None
@@ -155,14 +155,13 @@ def run_replicate(s: scen.Scenario, n: int, oracle: scen.TruthOracle, replicate:
 
 
 def _run_batch(args):
-    sid, n, rep_lo, rep_hi, oracle, seed, alpha, specs = args
-    s = scen.scenario(sid)
+    s, n, rep_lo, rep_hi, oracle, seed, alpha, specs = args
     return [run_replicate(s, n, oracle, r, seed, alpha, specs) for r in range(rep_lo, rep_hi)]
 
 
 def _batches(reps: int, workers: int):
     """Replicate ranges ``[lo, hi)``: about four per worker, at most 50 long."""
-    size = max(1, min(50, reps // max(1, workers * 4) or 1))
+    size = min(50, reps // (workers * 4) or 1)
     return [(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
 
 
@@ -186,10 +185,10 @@ def _run_grid(config: RunConfig, settings) -> list:
 
     Each (scenario, n) cell's specs, one per measure and setting, are built
     and filled once, before any truth oracle, so that a bad override or
-    size fails first; the cell's batches carry them, and each replicate
-    scores all of them on its one sample. Each scenario's oracle is then
-    built once. ``_map`` keeps task order, so a stable sort by cell and
-    measure gives the record order.
+    size fails first; the cell's batches carry them and its scenario, and
+    each replicate scores all of them on its one sample. Each scenario's
+    oracle is then built once. ``_map`` keeps task order, so a stable sort
+    by cell and measure gives the record order.
     """
     scens = [scen.scenario(sid) for sid in config.scenarios]
     specs = {(s.id, n): [meas.fill_spec(measure_spec_for(s, m, k=k, eps=eps), n)
@@ -198,8 +197,8 @@ def _run_grid(config: RunConfig, settings) -> list:
     for s in scens:
         oracles[s.id] = scen.build_truth_oracle(s, config.alpha, config.ref_size, oracle_rng(config.seed, s.id))
         log.info("truth oracle %s: f_alpha=%.6g (ref_size=%d)", s.id, oracles[s.id].f_alpha, config.ref_size)
-    tasks = [(sid, n, lo, hi, oracles[sid], config.seed, config.alpha, cell)
-             for (sid, n), cell in specs.items() for lo, hi in _batches(config.reps, config.workers)]
+    tasks = [(s, n, lo, hi, oracles[s.id], config.seed, config.alpha, specs[s.id, n])
+             for s in scens for n in config.ns for lo, hi in _batches(config.reps, config.workers)]
     records = [rec for chunk in _map(_run_batch, tasks, config.workers) for recs in chunk for rec in recs]
     cell_pos = {key: i for i, key in enumerate(specs)}
     return sorted(records, key=lambda r: (cell_pos[r.scenario, r.n], config.measures.index(r.measure)))
@@ -256,8 +255,8 @@ def write_summary_csv(path, config: RunConfig, summary):
 # tuning
 
 
-def run_tune(sid: str, n: int, measure: str, grid, reps: int = 50, alpha: float = 0.05,
-             seed: int = 42, ref_size: int = _DEFAULT_REF_SIZE, workers: int = 1):
+def run_tune(sid: str, n: int, measure: str, grid, reps: int = _TUNE_REPS, alpha: float = RunConfig.alpha,
+             seed: int = RunConfig.seed, ref_size: int = RunConfig.ref_size, workers: int = RunConfig.workers):
     """Mean metrics per hyperparameter grid value (k for the kNN measures,
     eps for the box measures).
 
@@ -301,7 +300,7 @@ class ApplyResult:
     hyperparams: dict = field(default_factory=dict)
 
 
-def apply_measures(points, measure_tokens, alpha: float = 0.05, k=None, eps=None) -> ApplyResult:
+def apply_measures(points, measure_tokens, alpha: float = RunConfig.alpha, k=None, eps=None) -> ApplyResult:
     """Fit each requested measure on the points, estimate its HDR, and form
     the strict-majority consensus labels. A measure that puts every point
     inside, although its threshold rank would leave some out, is logged as

@@ -22,6 +22,7 @@ import numpy as np
 from . import measures as meas
 from .benchmark import (
     RunConfig,
+    _TUNE_REPS,
     _write_csv,
     _write_text,
     apply_measures,
@@ -104,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scenarios", required=True, help="comma list, e.g. S1,S6,S11,S16")
     b.add_argument("--n", required=True, help="comma list of sample sizes, e.g. 50,100,500,1000")
     b.add_argument("--measures", required=True, help="'all' or comma list of measure tokens")
-    b.add_argument("--reps", type=int, default=300)
+    b.add_argument("--reps", type=int, default=RunConfig.reps)
     b.add_argument("--out", required=True, help="per-replicate result CSV")
     b.add_argument("--summary", help="aggregated mean(sd) CSV")
     b.add_argument("--timing", action="store_true",
@@ -115,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--measure", required=True)
     t.add_argument("--grid", required=True, help="'1:50', '1:50:2', or comma list like 0.01,0.02,0.05")
-    t.add_argument("--reps", type=int, default=50)
+    t.add_argument("--reps", type=int, default=_TUNE_REPS)
     t.add_argument("--out", required=True)
 
     a = sub.add_parser("apply", help="label an external CSV with per-measure and consensus HDRs")
@@ -135,21 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (b, t):
         p.add_argument("--workers", type=int, default=_cpus(),
                        help="worker processes (default: one per CPU this process may use)")
-        p.add_argument("--ref-size", type=int, default=10 ** 6, help="truth-oracle reference sample size")
+        p.add_argument("--ref-size", type=int, default=RunConfig.ref_size, help="truth-oracle reference sample size")
     for p in (b, a):
         p.add_argument("--k", type=int, default=None, help="override k for the kNN measures")
         p.add_argument("--eps", type=float, default=None, help="override eps for the box measures")
     # apply is deterministic and draws nothing, so it takes no seed
     for p in (b, t, s):
-        p.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
+        p.add_argument("--seed", type=int, default=RunConfig.seed, help="master seed (default %(default)s)")
     for p in (b, t, a):
-        p.add_argument("--alpha", type=float, default=0.05, help="1 - coverage level (default 0.05)")
+        p.add_argument("--alpha", type=float, default=RunConfig.alpha, help="1 - coverage level (default %(default)s)")
     return ap
 
 
 def _cmd_bench(args) -> int:
     config = RunConfig(
-        scenarios=_parse_str_list(args.scenarios.upper()),
+        scenarios=_parse_str_list(args.scenarios),
         ns=_parse_int_list(args.n),
         measures=_parse_measures(args.measures),
         reps=args.reps,
@@ -257,7 +258,7 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    sample, dens = simulate_scenario(args.scenario.upper(), args.n, args.seed)
+    sample, dens = simulate_scenario(args.scenario, args.n, args.seed)
     _write_csv(args.out, ["x1", "x2", "true_density"],
                ([fmt_float(x1), fmt_float(x2), fmt_float(d)] for (x1, x2), d in zip(sample.points, dens)))
     log.info("wrote %d draws to %s", sample.n, args.out)

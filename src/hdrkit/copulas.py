@@ -58,6 +58,7 @@ DIRICHLET11A = "dirichlet11a"
 FITTABLE_FAMILIES = (GAUSSIAN, STUDENT_T, FRANK, CLAYTON)
 
 _RHO_MAX = 0.995
+_MIN_FIT_N = 20  # the fewest pseudo-observations a copula fit takes, parametric or not
 _THETA_MAX = 50.0
 # profile grid for the t-copula degrees of freedom
 NU_GRID_COPULA = np.arange(2.0, 31.0, 1.0)
@@ -152,8 +153,10 @@ def tau_to_param(family: str, tau: float) -> CopulaModel:
     """Invert Kendall's tau to a copula parameter.
 
     Gaussian/Student-t: rho = sin(pi tau / 2); Clayton: theta = 2 tau / (1 - tau);
-    Frank: Brent's method (``brentq``) on the Debye-function identity to 1e-10. The Student-t
-    nu is not identified by tau and defaults to 6 here.
+    Frank: Brent's method (``brentq``) on ``kendall_tau`` to 1e-10 over theta in [1e-6, 500], or
+    [-500, -1e-6] for tau < 0, which reaches 1.1088e-7 <= tau <= 0.99203 and -0.99203 <= tau <=
+    -1.1116e-7; a tau outside these raises. The Student-t nu is not identified by tau and defaults
+    to 6 here.
     """
     if not -1.0 < tau < 1.0:
         raise ValueError("tau must be in (-1, 1)")
@@ -168,12 +171,15 @@ def tau_to_param(family: str, tau: float) -> CopulaModel:
     if family == FRANK:
         if tau == 0.0:
             raise ValueError("Frank tau = 0 is the independence limit")
+        # below |theta| = 1e-6 the Debye form's 1 - D(theta) loses most of its digits
+        lo, hi = (1e-6, 500.0) if tau > 0 else (-500.0, -1e-6)
+        reach = kendall_tau(frank(lo)), kendall_tau(frank(hi))
+        if not reach[0] <= tau <= reach[1]:
+            raise ValueError(f"Frank reaches tau in [{reach[0]:.5g}, {reach[1]:.5g}] on this side of 0 "
+                             f"(theta in [{lo:g}, {hi:g}]), not {tau!r}")
         from scipy import optimize  # here, not at the top: scipy.optimize adds ~0.2 s to every CLI start
 
-        sign = 1.0 if tau > 0 else -1.0
-        f = lambda th: 1.0 - 4.0 / th * (1.0 - _debye1(th)) - tau
-        lo, hi = sign * 1e-6, sign * 500.0
-        theta = optimize.brentq(f, min(lo, hi), max(lo, hi), xtol=1e-10)
+        theta = optimize.brentq(lambda th: kendall_tau(frank(th)) - tau, lo, hi, xtol=1e-10)
         return frank(theta)
     if family == INDEPENDENCE:
         if tau != 0.0:
@@ -520,8 +526,8 @@ def fit_copula_mle(pseudo: PseudoObservations, family: str):
     S7, S9, S10, S13, S14 and S16), 128 at n = 100 (8 of each of S1-S16),
     and the 5,000 points of the benchmark's ``apply`` input.
     """
-    if pseudo.n < 20:
-        raise ValueError("need at least 20 pseudo-observations")
+    if pseudo.n < _MIN_FIT_N:
+        raise ValueError(f"need at least {_MIN_FIT_N} pseudo-observations")
     if family not in FITTABLE_FAMILIES:
         raise ValueError(f"family {family!r} is not fittable")
     u, v = pseudo.u[:, 0], pseudo.u[:, 1]
@@ -602,8 +608,8 @@ _NPCOP_CHUNK = 32
 
 
 def npcop_fit(pseudo: PseudoObservations) -> NpCopulaFit:
-    if pseudo.n < 20:
-        raise ValueError("need at least 20 pseudo-observations")
+    if pseudo.n < _MIN_FIT_N:
+        raise ValueError(f"need at least {_MIN_FIT_N} pseudo-observations")
     z = special.ndtri(pseudo.u)
     if not np.all(np.isfinite(z)):
         raise ValueError("pseudo-observation on the unit-square boundary")

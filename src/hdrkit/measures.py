@@ -601,15 +601,15 @@ _CONC, _SPARS = Orientation.CONCENTRATION, Orientation.SPARSITY
 # everything a kind is; the copula kinds fit marginal and copula models
 _KINDS = {
     M0_KDE: _Kind(None, _CONC, 2, _fit_kde, checks=(_check_span, _check_density_scale)),
-    M0_NPCOP: _Kind(None, _CONC, 20, _fit_npcop, checks=(_check_density_scale,)),
-    M0_PCOP: _Kind(None, _CONC, 20, _fit_pcop, families=True, checks=(_check_density_scale,)),
+    M0_NPCOP: _Kind(None, _CONC, copulas._MIN_FIT_N, _fit_npcop, checks=(_check_density_scale,)),
+    M0_PCOP: _Kind(None, _CONC, copulas._MIN_FIT_N, _fit_pcop, families=True, checks=(_check_density_scale,)),
     M1_KNN_EUCL: _Kind("k", _SPARS, 2, _fit_knn_eucl, lambda n, support: heuristic_k(n), checks=(_check_span,)),
     M2_KNN_CDF: _Kind("k", _CONC, 2, _fit_knn_cdf, lambda n, support: min(30, n), checks=(_check_span,)),
     M3_ECDF_RECT: _Kind("eps", _CONC, 2, _fit_ecdf_rect,
                         lambda n, support: 0.10 if support == SIMPLEX else math.exp(2.13 - 0.30 * math.log(n))),
-    M3_NPCOP_RECT: _Kind("eps", _CONC, 20, _fit_npcop, lambda n, support: math.exp(
+    M3_NPCOP_RECT: _Kind("eps", _CONC, copulas._MIN_FIT_N, _fit_npcop, lambda n, support: math.exp(
         -1.22 - 0.23 * math.log(n) if support == SIMPLEX else 1.74 - 0.26 * math.log(n))),
-    M3_PCOP_RECT: _Kind("eps", _CONC, 20, _fit_pcop,
+    M3_PCOP_RECT: _Kind("eps", _CONC, copulas._MIN_FIT_N, _fit_pcop,
                         lambda n, support: 0.02 if support == SIMPLEX else math.exp(1.60 - 0.41 * math.log(n)),
                         families=True),
 }

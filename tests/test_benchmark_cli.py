@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import logging
 import os
@@ -13,7 +14,7 @@ from numpy.testing import assert_allclose
 import hdrkit as hk
 from hdrkit import benchmark, core
 from hdrkit.benchmark import RunConfig, apply_measures, measure_spec_for, replicate_rng, run_bench, run_tune
-from hdrkit.cli import main
+from hdrkit.cli import build_parser, main
 
 FAST = dict(reps=8, seed=42, ref_size=10 ** 5)
 
@@ -761,6 +762,39 @@ class TestOutputDirectory:
         argv = ["apply", "--input", "adir", "--x", "a", "--y", "b", "--measures", "m1", "--out", "o.csv"]
         err = run_before_any_work(argv)
         assert err.startswith("error: ") and "'adir'" in err
+
+
+class TestRunDefaults:
+    """Each command's defaults are those of the library call it makes:
+    ``RunConfig``'s for bench, ``run_tune``'s for tune (its seed, alpha
+    and ref_size also ``RunConfig``'s), ``apply_measures``' for apply, and
+    ``RunConfig``'s seed for simulate."""
+
+    CONFIG = RunConfig(scenarios=("S1",), ns=(50,), measures=("m1",))
+
+    @staticmethod
+    def _parsed(*argv):
+        args = build_parser().parse_args([*argv, "--out", "o.csv"])
+        return {name: getattr(args, name) for name in ("reps", "seed", "alpha", "ref_size") if hasattr(args, name)}
+
+    def test_bench(self):
+        got = self._parsed("bench", "--scenarios", "S1", "--n", "50", "--measures", "m1")
+        c = self.CONFIG
+        assert got == {"reps": c.reps, "seed": c.seed, "alpha": c.alpha, "ref_size": c.ref_size}
+
+    def test_tune(self):
+        got = self._parsed("tune", "--scenario", "S1", "--n", "50", "--measure", "m1", "--grid", "1:5")
+        params = inspect.signature(run_tune).parameters
+        assert got == {name: params[name].default for name in ("reps", "seed", "alpha", "ref_size")}
+        c = self.CONFIG
+        assert (got["seed"], got["alpha"], got["ref_size"]) == (c.seed, c.alpha, c.ref_size)
+
+    def test_apply(self):
+        got = self._parsed("apply", "--input", "i.csv", "--x", "a", "--y", "b", "--measures", "m1")
+        assert got == {"alpha": inspect.signature(apply_measures).parameters["alpha"].default}
+
+    def test_simulate(self):
+        assert self._parsed("simulate", "--scenario", "S1", "--n", "50") == {"seed": self.CONFIG.seed}
 
 
 class TestDefaultWorkers:

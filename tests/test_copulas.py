@@ -54,6 +54,19 @@ class TestTauCalibration:
         model = C.tau_to_param(family, tau)
         assert_allclose(C.kendall_tau(model), tau, atol=1e-8)
 
+    @pytest.mark.parametrize("tau", [1e-9, 1e-7, 0.9921, 0.999, -1e-9, -1.1e-7, -0.9921, -0.995])
+    def test_frank_outside_its_reach_names_the_range(self, tau):
+        # brentq's bracket, theta in [1e-6, 500] or its negative, reaches these taus on each side of 0
+        reach = r"\[1\.1088e-07, 0\.99203\]" if tau > 0 else r"\[-0\.99203, -1\.1116e-07\]"
+        with pytest.raises(ValueError, match=f"Frank reaches tau in {reach} on this side of 0"):
+            C.tau_to_param("frank", tau)
+
+    @pytest.mark.parametrize("tau", [1.109e-7, 0.99202, -1.112e-7, -0.99202])
+    def test_frank_just_inside_its_reach(self, tau):
+        theta = C.tau_to_param("frank", tau).theta
+        assert 1e-6 <= abs(theta) <= 500.0 and math.copysign(1.0, theta) == math.copysign(1.0, tau)
+        assert_allclose(C.kendall_tau(C.frank(theta)), tau, rtol=0, atol=1e-9)  # xtol 1e-10 on theta
+
 
 class TestDebye:
     # +-[1e-8, 500], plus both sides of the switch from the series to the closed form at |t| = 1e-2
