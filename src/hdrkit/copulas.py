@@ -338,7 +338,8 @@ def pseudo_observations(points: np.ndarray) -> PseudoObservations:
 
 
 def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObservations:
-    """Draw n iid pairs from the copula law.
+    """Draw n iid pairs from the copula law: ``_copula_draws``, then
+    ``_copula_transform`` of the whole draw.
 
     Elliptical families use correlated normal/t draws mapped through their
     univariate CDFs; Frank and Clayton use conditional inversion; the
@@ -347,21 +348,45 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _copula_transform(c, _copula_draws(c, n, rng))
 
+
+def _copula_draws(c: CopulaModel, n: int, rng: np.random.Generator) -> tuple:
+    """The generator's draws for n copula pairs, in the order they are made:
+    ``random((n, 2))`` for independence; ``standard_normal((n, 2))``, then
+    ``chisquare`` for t; two ``random(n)`` for Frank and Clayton; the three
+    ``_dirichlet_draws`` for the Dirichlet copula. Each is an array whose
+    rows are the pairs."""
     if c.family == INDEPENDENCE:
-        u = rng.random((n, 2))
+        return (rng.random((n, 2)),)
+    if c.family == GAUSSIAN:
+        return (rng.standard_normal((n, 2)),)
+    if c.family == STUDENT_T:
+        return rng.standard_normal((n, 2)), rng.chisquare(c.nu, n)
+    if c.family in (FRANK, CLAYTON):
+        return rng.random(n), rng.random(n)
+    if c.family == DIRICHLET11A:
+        return _dirichlet_draws(c.a, n, rng)
+    raise ValueError(f"cannot sample from {c.family!r}")
+
+
+def _copula_transform(c: CopulaModel, draws) -> PseudoObservations:
+    """The copula pairs of the same rows of every ``_copula_draws`` array.
+    Each pair is a function of its own row only, so a row slice of the
+    draws gives the same bits as the whole draw."""
+    if c.family == INDEPENDENCE:
+        (u,) = draws
     elif c.family in (GAUSSIAN, STUDENT_T):
-        z = rng.standard_normal((n, 2))
+        z = draws[0]
         x = np.column_stack([z[:, 0], c.rho * z[:, 0] + np.sqrt(1.0 - c.rho ** 2) * z[:, 1]])
         if c.family == GAUSSIAN:
             u = special.ndtr(x)
         else:
-            x /= np.sqrt(rng.chisquare(c.nu, n) / c.nu)[:, None]
+            x /= np.sqrt(draws[1] / c.nu)[:, None]
             u = _t_cdf(x, c.nu)
     elif c.family in (FRANK, CLAYTON):
         th = c.theta
-        u1 = rng.random(n)
-        p = rng.random(n)
+        u1, p = draws
         if c.family == FRANK:
             eu = np.exp(-th * u1)
             ev = 1.0 + p * np.expm1(-th) / (eu * (1.0 - p) + p)
@@ -369,17 +394,21 @@ def copula_sample(c: CopulaModel, n: int, rng: np.random.Generator) -> PseudoObs
         else:
             u2 = ((p ** (-th / (th + 1.0)) - 1.0) * u1 ** -th + 1.0) ** (-1.0 / th)
         u = np.column_stack([u1, u2])
-    elif c.family == DIRICHLET11A:
-        u = marginal_cdf(beta11a(c.a), _dirichlet_draws(c.a, n, rng))
-    else:
-        raise ValueError(f"cannot sample from {c.family!r}")
+    else:  # the Dirichlet copula: _copula_draws makes no other family's draws
+        u = marginal_cdf(beta11a(c.a), _dirichlet_points(draws))
     return PseudoObservations(_clip_open(u))
 
 
-def _dirichlet_draws(a: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The first two coordinates of n Dirichlet(1, 1, a) draws, as gamma
-    ratios: an (n, 2) array of points in the 2-simplex."""
-    g = np.column_stack([rng.standard_gamma(1.0, n), rng.standard_gamma(1.0, n), rng.standard_gamma(a, n)])
+def _dirichlet_draws(a: float, n: int, rng: np.random.Generator) -> tuple:
+    """The three gamma draws of n Dirichlet(1, 1, a) points."""
+    return rng.standard_gamma(1.0, n), rng.standard_gamma(1.0, n), rng.standard_gamma(a, n)
+
+
+def _dirichlet_points(draws) -> np.ndarray:
+    """The first two coordinates of the Dirichlet points of the same rows of
+    the three ``_dirichlet_draws``, as gamma ratios: an (m, 2) array of
+    points in the 2-simplex, each a function of its own row."""
+    g = np.column_stack(draws)
     return g[:, :2] / g.sum(axis=1)[:, None]
 
 

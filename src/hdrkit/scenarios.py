@@ -9,10 +9,17 @@ marginal scheme cycles heavy-tailed t2, unimodal normal, bimodal
 and mixture means (0, 9) and (1, 8+5). S17 is Dirichlet(1, 1, 2) on the
 2-simplex, whose marginals are Beta(1, 3).
 
+Sampling is two steps: the generator's draws (``copulas._copula_draws``,
+or ``copulas._dirichlet_draws`` for S17), then a transform of each row of
+them to a point, elementwise.
+
 The truth oracle is Monte Carlo: the density threshold of the true
 100(1-alpha)% HDR is the alpha-quantile of the true density over a large
 fresh reference sample, the density-quantile rule the estimators use
-(``hdr.density_quantile_hdr``).
+(``hdr.density_quantile_hdr``). The oracle makes the reference draws
+whole, then forms their points and true density one row block at a time,
+so it keeps only the draws and one density vector, never the sample; its
+f_alpha is the one the whole sample gives, to the bit.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import copulas, distributions as dists
-from .core import Sample2D, _check_alpha
+from .core import Sample2D, _check_alpha, _row_blocks
 from .hdr import density_quantile_hdr
 
 __all__ = [
@@ -102,11 +109,16 @@ def sample_scenario(s: Scenario, n: int, rng: np.random.Generator) -> Sample2D:
     if n < 1:
         raise ValueError("n must be >= 1")
     if s.is_simplex:
-        return Sample2D(copulas._dirichlet_draws(s.copula.a, n, rng))
-    u = copulas.copula_sample(s.copula, n, rng).u
+        return Sample2D(copulas._dirichlet_points(copulas._dirichlet_draws(s.copula.a, n, rng)))
+    return Sample2D(_quantiles(s, copulas.copula_sample(s.copula, n, rng)))
+
+
+def _quantiles(s: Scenario, pseudo: copulas.PseudoObservations) -> np.ndarray:
+    """The (m, 2) points at copula pairs: each marginal's quantile of its column."""
+    u = pseudo.u
     x1 = dists.marginal_quantile(s.marginals[0], u[:, 0])
     x2 = dists.marginal_quantile(s.marginals[1], u[:, 1])
-    return Sample2D(np.column_stack([x1, x2]))
+    return np.column_stack([x1, x2])
 
 
 _U_OPEN_HI = np.nextafter(1.0, 0.0)
@@ -147,9 +159,33 @@ def build_truth_oracle(s: Scenario, alpha: float, ref_size: int, rng: np.random.
     if ref_size < 10 ** 5:
         raise ValueError("ref_size must be at least 1e5")
     _check_alpha(alpha)
-    ref = sample_scenario(s, ref_size, rng)
-    f_alpha = density_quantile_hdr(true_density(s, ref.points), alpha).threshold
+    f_alpha = density_quantile_hdr(_reference_density(s, ref_size, rng), alpha).threshold
     return TruthOracle(s.id, float(alpha), f_alpha, ref_size)
+
+
+def _reference_density(s: Scenario, ref_size: int, rng: np.random.Generator) -> np.ndarray:
+    """The true density at ``sample_scenario(s, ref_size, rng)``'s points,
+    to the bit, with the generator left in the same state.
+
+    The draws are made whole, in ``sample_scenario``'s order, since one
+    stream feeds them all. Every later stage is a function of its own row,
+    so the points and their density are formed one 8,192-row block at a
+    time: no stage holds more than a block, the whole reference sample
+    never exists, and the draws are freed on return. The blocks run on the
+    calling thread, not through ``core._row_map``, because
+    ``perfbench/spans.py`` wraps ``true_density`` and the functions it calls
+    and keeps one span stack, for that thread.
+    """
+    if s.is_simplex:
+        draws = copulas._dirichlet_draws(s.copula.a, ref_size, rng)
+        points = copulas._dirichlet_points
+    else:
+        draws = copulas._copula_draws(s.copula, ref_size, rng)
+        points = lambda block: _quantiles(s, copulas._copula_transform(s.copula, block))
+    density = np.empty(ref_size)
+    for sl in _row_blocks(ref_size, 8):  # 8,192 rows a block
+        density[sl] = true_density(s, points([d[sl] for d in draws]))
+    return density
 
 
 def label_truth(oracle: TruthOracle, s: Scenario, points) -> np.ndarray:

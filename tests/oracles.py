@@ -3,8 +3,10 @@
 Each works directly over the whole sample, with no sorting, row blocking
 or shared kernel rows, so it shares no code path with the package's ECDF
 owner or pairwise kernels. ``t_copula_full_profile`` profiles every nu
-where the package searches. The last two build the parametric-copula
-measures from exact, injected models instead of fitted ones.
+where the package searches, and ``truth_f_alpha`` forms the truth oracle's
+whole reference sample where the package works in row blocks. The last
+two build the parametric-copula measures from exact, injected models
+instead of fitted ones.
 """
 
 from functools import partial
@@ -12,7 +14,8 @@ from functools import partial
 import numpy as np
 from scipy import special
 
-from hdrkit import copulas as C, measures as M
+from hdrkit import copulas as C, measures as M, scenarios as S
+from hdrkit.hdr import density_quantile_hdr
 
 
 def ecdf1(column, t):
@@ -141,3 +144,10 @@ def m3_pcop_from_models(copula_model, marginals, eps: float):
     spec = M.MeasureSpec(M.M3_PCOP_RECT, eps=eps, marginal_families=tuple(m.family for m in marginals))
     return M.FittedMeasure(spec, partial(M._pcop_rect_scores, copula_model, marginals, eps), {"eps": eps},
                            copula_model.family)
+
+
+def truth_f_alpha(s, alpha, ref_size, rng):
+    """The truth oracle's f_alpha from the whole reference sample at once:
+    the alpha-quantile of the true density at ``sample_scenario``'s points."""
+    ref = S.sample_scenario(s, ref_size, rng)
+    return density_quantile_hdr(S.true_density(s, ref.points), alpha).threshold

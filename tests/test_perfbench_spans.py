@@ -58,11 +58,11 @@ def test_uninstall_leaves_no_wrapper(spans):
 
 def test_spans_recorded_on_the_main_thread(spans, monkeypatch):
     # the tracer keeps one span stack, so no worker thread may enter a span
-    from hdrkit import benchmark, core, measures
+    from hdrkit import benchmark, core, measures, scenarios
 
     pts = np.random.default_rng(38).normal(size=(1100, 2))
 
-    def traced():
+    def traced(run):
         tracer = spans.Tracer()
         threads = set()
 
@@ -74,17 +74,27 @@ def test_spans_recorded_on_the_main_thread(spans, monkeypatch):
         tracer.spans = Spans()
         tracer.install()
         try:
-            benchmark.apply_measures(pts, list(measures.MEASURE_KINDS))
+            run()
         finally:
             tracer.uninstall()
         return {k: v for k, v in tracer.metrics().items() if k.endswith(".calls")}, threads
 
+    def apply():
+        benchmark.apply_measures(pts, list(measures.MEASURE_KINDS))
+
+    def oracle():
+        # a row pass over 2**20 reference points would take two threads
+        scenarios.build_truth_oracle(scenarios.scenario("S2"), 0.05, 1 << 20, np.random.default_rng(38))
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(core, "_pool", None)
-    assert core._threads(1100 * 1100) == 2
-    calls, threads = traced()
+    assert core._threads(1100 * 1100) == 2 and core._threads(1 << 20) == 2
+    calls, threads = traced(apply)
     assert core._pool is not None
     assert threads == {threading.get_ident()}
+    oracle_calls, threads = traced(oracle)
+    assert threads == {threading.get_ident()}
+    assert oracle_calls["scenarios.true_density.calls"] == 128  # one per 8,192-row block
     monkeypatch.setattr(core, "_THREAD_MIN", 1 << 62)
-    assert traced()[0] == calls
+    assert traced(apply)[0] == calls
     assert calls["measures.score.m3-npcop.calls"] == 1 and calls["copulas.npcop_rect_prob.calls"] == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import hdrkit as hk
 from hdrkit import distributions as D
 from hdrkit.benchmark import oracle_rng
 from hdrkit.scenarios import SCENARIO_IDS, build_truth_oracle, label_truth, sample_scenario, scenario, true_density
-from oracles import m0_pcop_from_models
+from oracles import m0_pcop_from_models, truth_f_alpha
 
 RHO = math.sin(math.pi / 4.0)
 
@@ -194,6 +195,39 @@ class TestTruthOracle:
         s = scenario("S17")
         oracle = build_truth_oracle(s, 0.05, 10 ** 5, np.random.default_rng(7))
         assert not label_truth(oracle, s, [(0.7, 0.7)])[0]
+
+    @pytest.mark.parametrize("ref_size", [10 ** 5, 10 ** 5 + 3])  # neither is a whole number of row blocks
+    @pytest.mark.parametrize("seed", [1, 42])
+    @pytest.mark.parametrize("sid", SCENARIO_IDS)
+    def test_f_alpha_is_the_whole_sample_rule(self, sid, seed, ref_size):
+        s = scenario(sid)
+        rng, whole_rng = oracle_rng(seed, sid), oracle_rng(seed, sid)
+        f_alpha = build_truth_oracle(s, 0.05, ref_size, rng).f_alpha
+        assert repr(f_alpha) == repr(truth_f_alpha(s, 0.05, ref_size, whole_rng))
+        # the oracle makes sample_scenario's draws, no more, no fewer, in its order
+        assert repr(rng.bit_generator.state) == repr(whole_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("sid, whole", [("S2", 3), ("S6", 4), ("S16", 3), ("S17", 4)])
+    def test_traced_peak_grows_by_the_whole_arrays_only(self, sid, whole):
+        # Only the draws and the density vector are kept whole (S2 2 + 1,
+        # S6 2 + 1 + 1 with the t copula's chi-square, S16 1 + 1 + 1, S17
+        # 3 + 1 float64 per point), and then the density and
+        # density_quantile_hdr's two copies (3). Per-block temporaries do
+        # not grow with ref_size; the whole-sample oracle grew by 8.25 (S2),
+        # 10.0 (S6), 48.2 (S16) and 6.0 (S17) float64 per point.
+        s = scenario(sid)
+
+        def traced_peak(ref_size):
+            tracemalloc.start()
+            try:
+                build_truth_oracle(s, 0.05, ref_size, np.random.default_rng(0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build_truth_oracle(s, 0.05, 10 ** 5, np.random.default_rng(1))  # lazy imports are not counted
+        growth = (traced_peak(2 * 10 ** 5) - traced_peak(10 ** 5)) / (10 ** 5 * 8)
+        assert growth <= whole + 0.1
 
     def test_scenario_mismatch_errors(self):
         oracle = build_truth_oracle(scenario("S2"), 0.05, 10 ** 5, np.random.default_rng(8))
