@@ -24,6 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random  # noqa: F401 - numpy loads it lazily; here it loads at start, not inside the first call
 
 from . import measures as meas
 from . import scenarios as scen

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy import special
 
 from .core import _row_blocks, _row_map, _thread_map, _threads
-from .distributions import _norm_pdf, _t_cdf, _t_ppf, beta11a, bvn_cdf, bvt_cdf, marginal_cdf, marginal_pdf
+from .distributions import _norm_pdf, _t_cdf, _t_ppf, beta11a, bvn_cdf, bvt_cdf, marginal_cdf, marginal_pdf, special
 
 __all__ = [
     "CopulaModel",
@@ -177,7 +176,7 @@ def tau_to_param(family: str, tau: float) -> CopulaModel:
         if not reach[0] <= tau <= reach[1]:
             raise ValueError(f"Frank reaches tau in [{reach[0]:.5g}, {reach[1]:.5g}] on this side of 0 "
                              f"(theta in [{lo:g}, {hi:g}]), not {tau!r}")
-        from scipy import optimize  # here, not at the top: scipy.optimize adds ~0.2 s to every CLI start
+        from scipy import optimize  # not at the top: with scipy.special's init it costs 0.3 s and 35 MB
 
         theta = optimize.brentq(lambda th: kendall_tau(frank(th)) - tau, lo, hi, xtol=1e-10)
         return frank(theta)

@@ -5,23 +5,28 @@ grid: normal, standard Student-t, two-component normal mixture with a
 shared variance, and the Beta(1, a+1) law that arises as the marginal of a
 Dirichlet(1, 1, a) vector (CDF ``1 - (1-x)^(a+1)`` on [0, 1]).
 
-The normal and Student-t pdf, cdf and quantile are written on
-``scipy.special`` (``ndtr``, ``ndtri``, ``stdtr``, ``stdtrit``, ``poch``),
-bit for bit as ``scipy.stats`` forms them, so importing the package never
-loads ``scipy.stats``; the t quantile and CDF also hold in the far lower
-tail, where ``stdtrit`` and ``stdtr`` lose it. The bivariate normal CDF is
-evaluated with a fixed-order Gauss-Legendre reduction, and the bivariate
-Student-t CDF, which takes whole degrees of freedom only, with its finite
-closed-form series; both are deterministic and vectorized.
+The normal and Student-t pdf, cdf and quantile are written on scipy's
+special-function ufuncs (``ndtr``, ``ndtri``, ``stdtr``, ``stdtrit``,
+``poch``), bit for bit as ``scipy.stats`` forms them, so importing the
+package never loads ``scipy.stats``; ``_load_special`` loads those ufuncs
+without ``scipy.special``'s package init. The t quantile and CDF also hold
+in the far lower tail, where ``stdtrit`` and ``stdtr`` lose it. The
+bivariate normal CDF is evaluated with a fixed-order Gauss-Legendre
+reduction, and the bivariate Student-t CDF, which takes whole degrees of
+freedom only, with its finite closed-form series; both are deterministic
+and vectorized.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "MarginalModel",
@@ -52,6 +57,38 @@ _EM_TOL, _EM_MAX_ITER = 1e-8, 500
 # stdtrit can return +inf or an x off by a factor of 2 (nu = 2.5 at p = 1e-140)
 _T_TAIL_P = 1e-15
 _SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _load_special():
+    """scipy's compiled special-function ufuncs, without running
+    ``scipy.special``'s ``__init__``, which loads scipy's array-API layer
+    (and through it ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``) that
+    hdrkit never uses. ``_ufuncs`` is imported under a bare stand-in
+    package, which is removed again whatever happens; each function it
+    holds is the very object ``scipy.special`` hands out. An already
+    imported ``scipy.special`` is used as it is, and an ``ImportError`` (a
+    scipy layout this does not know) falls back to the full package."""
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"]
+    import scipy
+
+    bare = types.ModuleType("scipy.special")
+    bare.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+    sys.modules["scipy.special"] = bare
+    try:
+        return importlib.import_module("scipy.special._ufuncs")
+    except ImportError:
+        pass
+    finally:
+        if sys.modules.get("scipy.special") is bare:
+            del sys.modules["scipy.special"]
+    from scipy import special
+
+    return special
+
+
+# hdrkit's one owner of scipy's special functions; copulas takes it from here
+special = _load_special()
 
 
 @dataclass(frozen=True)
@@ -212,7 +249,7 @@ def _mixture_quantile(m: MarginalModel, p: np.ndarray) -> np.ndarray:
     """Chandrupatla's bracketed root solve on the mixture CDF (monotone,
     smooth) for every point at once; each element stops on its own, so a
     root depends only on its own ``p``."""
-    from scipy.optimize import elementwise  # here, not at the top: scipy.optimize adds ~0.2 s to every CLI start
+    from scipy.optimize import elementwise  # not at the top: with scipy.special's init it costs 0.3 s and 35 MB
 
     z = special.ndtri(p)
     lo = min(m.mu1, m.mu2) + m.sigma * z - 1.0  # CDF(lo) <= p: both components shifted right of lo

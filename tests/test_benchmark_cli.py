@@ -3,6 +3,7 @@ import inspect
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -855,6 +856,68 @@ def test_cli_never_imports_scipy_stats_or_integrate(tmp_path):
 
 
 def test_cli_without_mixtures_never_imports_scipy_optimize(tmp_path):
-    # scipy.optimize brings scipy.linalg and scipy.sparse, about 0.2 s and 24 MB
-    # at every start; only the mixture quantile and the Frank tau inversion need it
+    # scipy.optimize brings scipy.linalg, scipy.sparse and scipy.special's package init, about
+    # 0.3 s and 35 MB at every start; only the mixture quantile and the Frank tau inversion need it
     assert _run_guard(tmp_path, _OPTIMIZE_GUARD) == []
+
+
+_SPECIAL_NAMES = ("ndtr", "ndtri", "stdtr", "stdtrit", "poch", "gammaln", "betaln", "spence")
+
+_SPECIAL_GUARD = """
+import json, sys
+import hdrkit.cli
+from hdrkit import copulas, distributions
+start = {m: m in sys.modules for m in ("scipy._lib._array_api", "scipy.special", "numpy.random")}
+import scipy.special, scipy.stats, scipy.optimize
+same = [getattr(distributions.special, f) is getattr(scipy.special, f) for f in %r]
+print(json.dumps({**start, "same": same, "one owner": copulas.special is distributions.special}))
+""" % (_SPECIAL_NAMES,)
+
+_SPECIAL_PRELOADED = """
+import json, scipy.special
+from hdrkit import copulas, distributions
+print(json.dumps([distributions.special is scipy.special, copulas.special is scipy.special]))
+"""
+
+# a scipy layout the loader does not know: its own import of _ufuncs fails once
+_SPECIAL_FALLBACK = """
+import importlib.abc, json, sys
+
+class FailOnce(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs":
+            sys.meta_path.remove(self)
+            raise ImportError(name)
+
+sys.meta_path.insert(0, FailOnce())
+from hdrkit import distributions
+package = sys.modules["scipy.special"]
+print(json.dumps([distributions.special is package, package.__file__.endswith("__init__.py"),
+                  "scipy._lib._array_api" in sys.modules, float(distributions.special.ndtr(0.0))]))
+"""
+
+
+class TestSpecialLoader:
+    """hdrkit loads scipy's compiled special-function ufuncs without
+    ``scipy.special``'s package init, never leaves its bare stand-in
+    package behind, and falls back to the full package."""
+
+    def test_start_up_skips_the_package_init(self, tmp_path):
+        got = _run_guard(tmp_path, _SPECIAL_GUARD)
+        assert got == {"scipy._lib._array_api": False, "scipy.special": False, "numpy.random": True,
+                       "same": [True] * len(_SPECIAL_NAMES), "one owner": True}
+
+    def test_an_imported_scipy_special_is_used(self, tmp_path):
+        assert _run_guard(tmp_path, _SPECIAL_PRELOADED) == [True, True]
+
+    def test_import_error_falls_back_to_the_package(self, tmp_path):
+        assert _run_guard(tmp_path, _SPECIAL_FALLBACK) == [True, True, True, 0.5]
+
+    def test_hdrkit_calls_only_these_functions(self):
+        src = os.path.dirname(hk.__file__)
+        called = set()
+        for name in os.listdir(src):
+            if name.endswith(".py"):
+                with open(os.path.join(src, name), encoding="utf-8") as fh:
+                    called |= set(re.findall(r"\bspecial\.(\w+)\(", fh.read()))
+        assert called == set(_SPECIAL_NAMES)
